@@ -193,9 +193,9 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
     std::vector<TaskId> done;
     Scheduler scheduler(
         &cache, &metrics, SchedulingPolicy::kLoadAware,
-        [&](const TaskSpec& spec, NodeId) {
+        [&](const TaskSpecPtr& spec, NodeId) {
           MutexLock lock(mu);
-          done.push_back(spec.id);
+          done.push_back(spec->id);
           return Status::Ok();
         });
     std::vector<SchedulableNode> sched_nodes;

@@ -10,7 +10,14 @@
 namespace skadi {
 
 CachingLayer::CachingLayer(Fabric* fabric, CachingLayerOptions options)
-    : fabric_(fabric), options_(options) {}
+    : fabric_(fabric),
+      options_(options),
+      local_hits_(&fabric->metrics().GetCounter(names::kCacheLocalHits)),
+      misses_(&fabric->metrics().GetCounter(names::kCacheMisses)),
+      remote_fetches_(&fabric->metrics().GetCounter(names::kCacheRemoteFetches)),
+      coalesced_fetches_(&fabric->metrics().GetCounter(names::kCacheCoalescedFetches)),
+      ec_reconstructs_(&fabric->metrics().GetCounter(names::kCacheEcReconstructs)),
+      spill_bytes_(&fabric->metrics().GetCounter(names::kCacheSpillBytes)) {}
 
 void CachingLayer::RegisterStore(NodeId node, std::shared_ptr<LocalObjectStore> store,
                                  bool is_memory_blade) {
@@ -181,13 +188,13 @@ void CachingLayer::GetAsync(ObjectId id, NodeId at, bool cache_locally,
     if (entry.ec != nullptr) {
       EcFetchPlan plan = SnapshotEcLocked(entry);
       lock.Unlock();
-      fabric_->metrics().GetCounter(names::kCacheMisses).Increment();
-      fabric_->metrics().GetCounter(names::kCacheEcReconstructs).Increment();
+      misses_->Increment();
+      ec_reconstructs_->Increment();
       done(TryEcReconstruct(plan, id, at));
       return;
     }
     lock.Unlock();
-    fabric_->metrics().GetCounter(names::kCacheMisses).Increment();
+    misses_->Increment();
     done(Status::DataLoss("object " + id.ToString() +
                           " has no live copies and no EC shards"));
     return;
@@ -199,12 +206,12 @@ void CachingLayer::GetAsync(ObjectId id, NodeId at, bool cache_locally,
     // Local hit: no fabric transfer, no coalescing needed. The returned
     // Buffer shares the store entry's refcounted storage.
     lock.Unlock();
-    fabric_->metrics().GetCounter(names::kCacheLocalHits).Increment();
+    local_hits_->Increment();
     done(src_store->Get(id));
     return;
   }
 
-  fabric_->metrics().GetCounter(names::kCacheMisses).Increment();
+  misses_->Increment();
   // Remote fetch: single-flight per (at, id). A fetch already in flight
   // makes this call a follower — it inherits the leader's result instead
   // of paying a second fabric transfer for the same bytes.
@@ -213,7 +220,7 @@ void CachingLayer::GetAsync(ObjectId id, NodeId at, bool cache_locally,
   if (fit != inflight_.end()) {
     std::shared_ptr<Flight> flight = fit->second;
     lock.Unlock();
-    fabric_->metrics().GetCounter(names::kCacheCoalescedFetches).Add(1);
+    coalesced_fetches_->Add(1);
     {
       MutexLock flock(flight->mu);
       if (!flight->done) {
@@ -265,7 +272,7 @@ Result<Buffer> CachingLayer::FetchRemote(ObjectId id, NodeId source, NodeId at,
   trace::TraceSpan fetch_span(names::kSpanCacheFetchRemote);
   SKADI_ASSIGN_OR_RETURN(Buffer data, src_store->Get(id));
   fabric_->TransferBytes(source, at, static_cast<int64_t>(data.size()));
-  fabric_->metrics().GetCounter(names::kCacheRemoteFetches).Add(1);
+  remote_fetches_->Add(1);
   if (cache_locally) {
     LocalObjectStore* dst_store = StoreOf(at);
     if (dst_store != nullptr && dst_store->Put(id, data).ok()) {
@@ -547,7 +554,7 @@ Status CachingLayer::EnableSpillToBlade(NodeId node) {
       return false;
     }
     fabric_->TransferBytes(node, best_blade, static_cast<int64_t>(data.size()));
-    fabric_->metrics().GetCounter(names::kCacheSpillBytes).Add(static_cast<int64_t>(data.size()));
+    spill_bytes_->Add(static_cast<int64_t>(data.size()));
     if (!blade_store->Put(id, data).ok()) {
       return false;
     }

@@ -175,6 +175,15 @@ class CachingLayer {
   Fabric* fabric_;
   CachingLayerOptions options_;
 
+  // Metric handles, resolved once at construction (DESIGN.md §12); the
+  // registry belongs to the fabric, which outlives this layer.
+  Counter* local_hits_;
+  Counter* misses_;
+  Counter* remote_fetches_;
+  Counter* coalesced_fetches_;
+  Counter* ec_reconstructs_;
+  Counter* spill_bytes_;
+
   mutable Mutex mu_;
   std::map<NodeId, std::shared_ptr<LocalObjectStore>> stores_ GUARDED_BY(mu_);
   std::set<NodeId> blades_ GUARDED_BY(mu_);

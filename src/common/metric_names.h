@@ -27,6 +27,9 @@ inline constexpr char kRuntimeUnrecoverableObjects[] = "runtime.unrecoverable_ob
 inline constexpr char kRuntimeLineageReexecutions[] = "runtime.lineage_reexecutions";
 inline constexpr char kRuntimeLostRetries[] = "runtime.lost_retries";
 inline constexpr char kRuntimeGetNanos[] = "runtime.get_nanos";
+// Tasks whose lineage is held for recovery: one entry per task with at
+// least one live (unreleased) return.
+inline constexpr char kRuntimeLineageEntries[] = "runtime.lineage_entries";
 // Batched resolution pushes (DESIGN.md §13): fabric messages sent carrying a
 // batch, and object-consumer entries carried. entries - batches = control
 // messages saved vs the one-message-per-push protocol.

@@ -13,13 +13,13 @@ std::vector<HistogramSnapshot> MetricsRegistry::SnapshotHistograms() const {
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot snap;
     snap.name = name;
-    snap.count = histogram->count();
-    snap.sum_nanos = histogram->sum_nanos();
-    snap.mean_nanos = histogram->mean_nanos();
-    snap.p50 = histogram->QuantileNanos(0.5);
-    snap.p90 = histogram->QuantileNanos(0.9);
-    snap.p99 = histogram->QuantileNanos(0.99);
-    snap.p999 = histogram->QuantileNanos(0.999);
+    snap.count = histogram.count();
+    snap.sum_nanos = histogram.sum_nanos();
+    snap.mean_nanos = histogram.mean_nanos();
+    snap.p50 = histogram.QuantileNanos(0.5);
+    snap.p90 = histogram.QuantileNanos(0.9);
+    snap.p99 = histogram.QuantileNanos(0.99);
+    snap.p999 = histogram.QuantileNanos(0.999);
     out.push_back(std::move(snap));
   }
   return out;

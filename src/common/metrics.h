@@ -16,6 +16,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -131,31 +134,22 @@ struct HistogramSnapshot {
 // use; returned references stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
-  Counter& GetCounter(const std::string& name) {
+  // Lookups take the registry lock and search by name: resolve a handle
+  // once and keep it rather than looking up per update (lint rule
+  // metric-handle). A name already present costs no allocation.
+  Counter& GetCounter(std::string_view name) {
     MutexLock lock(mu_);
-    auto& slot = counters_[name];
-    if (!slot) {
-      slot = std::make_unique<Counter>();
-    }
-    return *slot;
+    return FindOrAdd(counters_, name);
   }
 
-  Gauge& GetGauge(const std::string& name) {
+  Gauge& GetGauge(std::string_view name) {
     MutexLock lock(mu_);
-    auto& slot = gauges_[name];
-    if (!slot) {
-      slot = std::make_unique<Gauge>();
-    }
-    return *slot;
+    return FindOrAdd(gauges_, name);
   }
 
-  Histogram& GetHistogram(const std::string& name) {
+  Histogram& GetHistogram(std::string_view name) {
     MutexLock lock(mu_);
-    auto& slot = histograms_[name];
-    if (!slot) {
-      slot = std::make_unique<Histogram>();
-    }
-    return *slot;
+    return FindOrAdd(histograms_, name);
   }
 
   // Snapshot of all counter values, sorted by name.
@@ -164,7 +158,7 @@ class MetricsRegistry {
     std::vector<std::pair<std::string, int64_t>> out;
     out.reserve(counters_.size());
     for (const auto& [name, counter] : counters_) {
-      out.emplace_back(name, counter->value());
+      out.emplace_back(name, counter.value());
     }
     return out;
   }
@@ -175,7 +169,7 @@ class MetricsRegistry {
     std::vector<std::pair<std::string, int64_t>> out;
     out.reserve(gauges_.size());
     for (const auto& [name, gauge] : gauges_) {
-      out.emplace_back(name, gauge->value());
+      out.emplace_back(name, gauge.value());
     }
     return out;
   }
@@ -194,21 +188,36 @@ class MetricsRegistry {
   void ResetAll() {
     MutexLock lock(mu_);
     for (auto& [name, counter] : counters_) {
-      counter->Reset();
+      counter.Reset();
     }
     for (auto& [name, gauge] : gauges_) {
-      gauge->Reset();
+      gauge.Reset();
     }
     for (auto& [name, histogram] : histograms_) {
-      histogram->Reset();
+      histogram.Reset();
     }
   }
 
  private:
+  // Metrics live in the map nodes themselves: nodes never move, so the
+  // returned references stay valid, and a new name costs one node.
+  template <typename T>
+  using Family = std::map<std::string, T, std::less<>>;
+
+  template <typename T>
+  static T& FindOrAdd(Family<T>& family, std::string_view name) {
+    auto it = family.lower_bound(name);
+    if (it == family.end() || it->first != name) {
+      it = family.emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(name),
+                               std::forward_as_tuple());
+    }
+    return it->second;
+  }
+
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mu_);
+  Family<Counter> counters_ GUARDED_BY(mu_);
+  Family<Gauge> gauges_ GUARDED_BY(mu_);
+  Family<Histogram> histograms_ GUARDED_BY(mu_);
 };
 
 }  // namespace skadi

@@ -20,6 +20,8 @@ Result<std::unique_ptr<Skadi>> Skadi::Start(SkadiOptions options) {
   skadi->runtime_ =
       std::make_unique<SkadiRuntime>(skadi->cluster_.get(), &skadi->registry_,
                                      options.runtime);
+  skadi->adaptive_dop_decisions_ =
+      &skadi->runtime_->metrics().GetCounter(names::kCoreAdaptiveDopDecisions);
   return skadi;
 }
 
@@ -132,7 +134,7 @@ Result<Skadi::PreparedSql> Skadi::PrepareSql(const std::string& query) {
           (table_bytes + options_.adaptive_shard_bytes - 1) / options_.adaptive_shard_bytes;
       planner_options.parallelism = static_cast<int>(
           std::min<int64_t>(std::max<int64_t>(1, shards), options_.max_parallelism));
-      runtime_->metrics().GetCounter(names::kCoreAdaptiveDopDecisions).Increment();
+      adaptive_dop_decisions_->Increment();
     }
   }
   // Correctness guard: a scan stage can never be wider than its table's

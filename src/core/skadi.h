@@ -134,6 +134,7 @@ class Skadi {
   std::unique_ptr<Cluster> cluster_;
   FunctionRegistry registry_;
   std::unique_ptr<SkadiRuntime> runtime_;
+  Counter* adaptive_dop_decisions_ = nullptr;  // resolved in Start
 
   mutable Mutex mu_;
   std::map<std::string, TableInfo> tables_ GUARDED_BY(mu_);

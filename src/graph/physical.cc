@@ -288,8 +288,8 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
               SKADI_ASSIGN_OR_RETURN(Buffer m, MergeGroup(group));
               merged.push_back(std::move(m));
             }
-            SKADI_ASSIGN_OR_RETURN(TaskFunction fn, reg->Lookup(builtin));
-            return fn(ctx, merged);
+            SKADI_ASSIGN_OR_RETURN(const TaskFunction* fn, reg->Lookup(builtin));
+            return (*fn)(ctx, merged);
           }));
     }
     physical.vertices.push_back(std::move(plan));

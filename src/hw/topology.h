@@ -5,6 +5,7 @@
 #ifndef SRC_HW_TOPOLOGY_H_
 #define SRC_HW_TOPOLOGY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -46,6 +47,7 @@ enum class LinkClass {
   kInterRack,  // through the spine
   kDurable,    // to/from cloud durable storage
 };
+inline constexpr size_t kNumLinkClasses = 5;
 
 std::string_view LinkClassName(LinkClass link_class);
 
@@ -84,7 +86,7 @@ class Topology {
  private:
   mutable Mutex mu_;
   std::unordered_map<NodeId, NodeInfo> nodes_ GUARDED_BY(mu_);
-  LinkParams params_[5] GUARDED_BY(mu_);
+  LinkParams params_[kNumLinkClasses] GUARDED_BY(mu_);
 };
 
 // Default link parameters, order-of-magnitude realistic for a 2023 data

@@ -13,6 +13,15 @@ Fabric::Fabric(std::shared_ptr<Topology> topology)
   hooks.timer_lag_nanos = &metrics_.GetHistogram(names::kFabricReactorTimerLagNanos);
   hooks.ready_depth = &metrics_.GetGauge(names::kFabricReactorReadyDepth);
   reactor_.WireMetrics(hooks);
+  for (size_t i = 0; i < kNumLinkClasses; ++i) {
+    const std::string_view link = LinkClassName(static_cast<LinkClass>(i));
+    messages_by_class_[i] =
+        &metrics_.GetCounter(names::kFabricMessagesPrefix + std::string(link));
+    bytes_by_class_[i] = &metrics_.GetCounter(names::kFabricBytesPrefix + std::string(link));
+  }
+  control_messages_ = &metrics_.GetCounter(names::kFabricControlMessages);
+  data_transfers_ = &metrics_.GetCounter(names::kFabricDataTransfers);
+  data_bytes_ = &metrics_.GetCounter(names::kFabricDataBytes);
   reactor_.Start(1);
 }
 
@@ -29,22 +38,12 @@ Status Fabric::RegisterHandler(NodeId node, const std::string& service, Handler 
   return Status::Ok();
 }
 
-Counter& Fabric::MessagesCounter(LinkClass c) {
-  return metrics_.GetCounter(names::kFabricMessagesPrefix +
-                             std::string(LinkClassName(c)));
-}
-
-Counter& Fabric::BytesCounter(LinkClass c) {
-  return metrics_.GetCounter(names::kFabricBytesPrefix +
-                             std::string(LinkClassName(c)));
-}
-
 void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control) {
-  LinkClass c = topology_->Classify(src, dst);
-  MessagesCounter(c).Increment();
-  BytesCounter(c).Add(bytes);
+  const auto c = static_cast<size_t>(topology_->Classify(src, dst));
+  messages_by_class_[c]->Increment();
+  bytes_by_class_[c]->Add(bytes);
   if (is_control) {
-    metrics_.GetCounter(names::kFabricControlMessages).Increment();
+    control_messages_->Increment();
   }
   // Pure accounting — control-plane messages never stall the calling thread
   // on modelled time (the realized share, if configured, applies to bulk
@@ -124,11 +123,11 @@ int64_t Fabric::TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes,
       return 0;
     }
   }
-  LinkClass c = topology_->Classify(src, dst);
-  BytesCounter(c).Add(bytes);
-  MessagesCounter(c).Increment();
-  metrics_.GetCounter(names::kFabricDataTransfers).Increment();
-  metrics_.GetCounter(names::kFabricDataBytes).Add(bytes);
+  const auto c = static_cast<size_t>(topology_->Classify(src, dst));
+  bytes_by_class_[c]->Add(bytes);
+  messages_by_class_[c]->Increment();
+  data_transfers_->Increment();
+  data_bytes_->Add(bytes);
   // The transfer span covers modelled-time accounting; the completion's own
   // trace context is captured by ScheduleAfter below, which is what carries
   // the causal chain across the (possibly realized) delay.
@@ -163,26 +162,26 @@ bool Fabric::IsDead(NodeId node) const {
 
 int64_t Fabric::total_messages() const {
   int64_t total = 0;
-  for (int i = 0; i < 5; ++i) {
-    total += messages(static_cast<LinkClass>(i));
+  for (const Counter* c : messages_by_class_) {
+    total += c->value();
   }
   return total;
 }
 
 int64_t Fabric::total_bytes() const {
   int64_t total = 0;
-  for (int i = 0; i < 5; ++i) {
-    total += bytes(static_cast<LinkClass>(i));
+  for (const Counter* c : bytes_by_class_) {
+    total += c->value();
   }
   return total;
 }
 
 int64_t Fabric::messages(LinkClass link_class) const {
-  return const_cast<Fabric*>(this)->MessagesCounter(link_class).value();
+  return messages_by_class_[static_cast<size_t>(link_class)]->value();
 }
 
 int64_t Fabric::bytes(LinkClass link_class) const {
-  return const_cast<Fabric*>(this)->BytesCounter(link_class).value();
+  return bytes_by_class_[static_cast<size_t>(link_class)]->value();
 }
 
 }  // namespace skadi

@@ -15,6 +15,7 @@
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -94,13 +95,19 @@ class Fabric {
  private:
   void Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control);
 
-  Counter& MessagesCounter(LinkClass c);
-  Counter& BytesCounter(LinkClass c);
-
   std::shared_ptr<Topology> topology_;
   VirtualClock clock_;
   MetricsRegistry metrics_;
   Reactor reactor_;
+
+  // Metric handles, resolved once at construction (DESIGN.md §12). The
+  // per-link-class families are indexed by LinkClass, so charging a message
+  // builds no name and takes no registry lock.
+  std::array<Counter*, kNumLinkClasses> messages_by_class_{};
+  std::array<Counter*, kNumLinkClasses> bytes_by_class_{};
+  Counter* control_messages_ = nullptr;
+  Counter* data_transfers_ = nullptr;
+  Counter* data_bytes_ = nullptr;
 
   mutable Mutex mu_;
   // (node, service) -> handler

@@ -61,8 +61,14 @@ bool Reactor::Post(Continuation fn) {
 
 void Reactor::InsertTimerLocked(TimerId id, uint64_t gen, int64_t deadline,
                                 Continuation fn, trace::Context ctx) {
-  const size_t slot =
-      static_cast<size_t>(deadline / options_.tick_nanos) % wheel_.size();
+  // The hand visits slot t at the first advance at or after tick boundary t,
+  // so a deadline belongs in the first boundary at or after it. A deadline
+  // inside a tick the hand already visited (or in the past) goes to the next
+  // slot it reaches; either way the timer fires on its own lap, not one full
+  // rotation late.
+  const int64_t tick = std::max((deadline + options_.tick_nanos - 1) / options_.tick_nanos,
+                                last_tick_ + 1);
+  const size_t slot = static_cast<size_t>(tick) % wheel_.size();
   wheel_[slot].emplace_back(id, gen);
   timers_[id] = TimerEntry{deadline, gen, std::move(fn), ctx};
 }
@@ -76,9 +82,18 @@ TimerId Reactor::ScheduleAfter(int64_t delay_nanos, Continuation fn) {
   const TimerId id = next_timer_id_++;
   InsertTimerLocked(id, /*gen=*/0, NowNanos() + std::max<int64_t>(0, delay_nanos),
                     std::move(fn), ctx);
-  // Wake a driver so its wait deadline accounts for the new timer.
-  cv_.NotifyOne();
+  KeepTicksLocked();
   return id;
+}
+
+void Reactor::KeepTicksLocked() {
+  // A driver in a tick wait wakes at the next tick boundary and advances the
+  // wheel, which is as soon as any pending timer could fire anyway. Only when
+  // none is does an idle driver need waking, so its wait deadline accounts
+  // for the timers.
+  if (tick_waiters_ == 0 && waiters_ > 0 && !timers_.empty()) {
+    cv_.NotifyOne();
+  }
 }
 
 bool Reactor::Cancel(TimerId id) {
@@ -100,7 +115,7 @@ bool Reactor::Rearm(TimerId id, int64_t delay_nanos) {
   timers_.erase(it);
   InsertTimerLocked(id, gen, NowNanos() + std::max<int64_t>(0, delay_nanos),
                     std::move(fn), ctx);
-  cv_.NotifyOne();
+  KeepTicksLocked();
   return true;
 }
 
@@ -159,6 +174,7 @@ Reactor::WaitResult Reactor::RunOneBounded(int64_t wait_deadline_nanos) {
       if (!ready_.empty()) {
         entry = std::move(ready_.front());
         ready_.pop_front();
+        KeepTicksLocked();  // this driver may have been the tick waiter
         hooks = hooks_;
         if (hooks.ready_depth != nullptr) {
           hooks.ready_depth->Set(static_cast<int64_t>(ready_.size()));
@@ -174,6 +190,7 @@ Reactor::WaitResult Reactor::RunOneBounded(int64_t wait_deadline_nanos) {
         // make something ready before reporting the timeout.
         AdvanceTimersLocked(now);
         if (ready_.empty()) {
+          KeepTicksLocked();
           return WaitResult::kTimedOut;
         }
         continue;
@@ -183,11 +200,20 @@ Reactor::WaitResult Reactor::RunOneBounded(int64_t wait_deadline_nanos) {
         wake = std::min(wake, wait_deadline_nanos);
       }
       if (wake == std::numeric_limits<int64_t>::max()) {
+        ++waiters_;
         cv_.Wait(lock);
+        --waiters_;
       } else if (now >= wake) {
         continue;  // a tick boundary passed; advance timers with fresh `now`
       } else {
+        // A wait that ends at the next tick boundary re-scans the wheel when
+        // it does, so timers armed meanwhile need not wake this driver.
+        const int tick = wake == next_wake ? 1 : 0;
+        ++waiters_;
+        tick_waiters_ += tick;
         cv_.WaitFor(lock, std::chrono::nanoseconds(wake - now));
+        --waiters_;
+        tick_waiters_ -= tick;
       }
     }
   }

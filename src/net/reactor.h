@@ -88,7 +88,10 @@ class Reactor {
   bool Post(Continuation fn);
 
   // Runs `fn` once `delay_nanos` have elapsed (never sooner than the next
-  // tick). Returns the timer's id for Cancel/Rearm; 0 after Shutdown.
+  // tick). Returns the timer's id for Cancel/Rearm; 0 after Shutdown. Wakes
+  // an idle driver only when no driver is already waiting for the next tick
+  // (that one re-scans the wheel when it wakes), so arming a timer on a busy
+  // reactor costs no context switch.
   TimerId ScheduleAfter(int64_t delay_nanos, Continuation fn);
 
   // Cancels a pending timer. True iff the timer existed and had not fired
@@ -182,6 +185,10 @@ class Reactor {
   bool ShouldRetire();
   void InsertTimerLocked(TimerId id, uint64_t gen, int64_t deadline,
                          Continuation fn, trace::Context ctx) REQUIRES(mu_);
+  // Keeps the wheel turning: if timers are pending and no driver is in a
+  // tick wait, wakes an idle driver. Called after arming a timer and by a
+  // driver leaving the wait loop (it may have been the tick waiter).
+  void KeepTicksLocked() REQUIRES(mu_);
 
   const char* name_;
   const Options options_;
@@ -195,6 +202,10 @@ class Reactor {
   std::unordered_map<TimerId, TimerEntry> timers_ GUARDED_BY(mu_);
   int64_t last_tick_ GUARDED_BY(mu_);
   TimerId next_timer_id_ GUARDED_BY(mu_) = 1;
+  // Drivers parked in cv_: all of them, and those whose wait ends at the next
+  // tick boundary (they advance the wheel when they wake).
+  int waiters_ GUARDED_BY(mu_) = 0;
+  int tick_waiters_ GUARDED_BY(mu_) = 0;
 
   Mutex threads_mu_;
   std::vector<std::thread> threads_ GUARDED_BY(threads_mu_);

@@ -6,6 +6,11 @@
 
 namespace skadi {
 
+Autoscaler::Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics)
+    : options_(options),
+      scale_ups_ctr_(&metrics->GetCounter(names::kAutoscalerScaleUps)),
+      scale_downs_ctr_(&metrics->GetCounter(names::kAutoscalerScaleDowns)) {}
+
 void Autoscaler::Start() {
   if (!options_.enabled || running_.exchange(true)) {
     return;
@@ -50,7 +55,7 @@ void Autoscaler::Tick() {
       }
       raylet->GrowWorkers(grow);
       scale_ups_.fetch_add(static_cast<int64_t>(grow));
-      metrics_->GetCounter(names::kAutoscalerScaleUps).Add(static_cast<int64_t>(grow));
+      scale_ups_ctr_->Add(static_cast<int64_t>(grow));
       tracked.idle_ticks = 0;
       continue;
     }
@@ -61,7 +66,7 @@ void Autoscaler::Tick() {
           workers > options_.min_workers) {
         raylet->ShrinkWorkers(1);
         scale_downs_.fetch_add(1);
-        metrics_->GetCounter(names::kAutoscalerScaleDowns).Increment();
+        scale_downs_ctr_->Increment();
         tracked.idle_ticks = 0;
       }
     } else {

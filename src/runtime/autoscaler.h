@@ -29,8 +29,7 @@ struct AutoscalerOptions {
 
 class Autoscaler {
  public:
-  Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics)
-      : options_(options), metrics_(metrics) {}
+  Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics);
 
   ~Autoscaler() { Stop(); }
 
@@ -56,7 +55,9 @@ class Autoscaler {
   void Tick();
 
   AutoscalerOptions options_;
-  MetricsRegistry* metrics_;
+  // Metric handles, resolved once at construction.
+  Counter* scale_ups_ctr_;
+  Counter* scale_downs_ctr_;
 
   Mutex mu_;
   std::vector<TrackedRaylet> tracked_ GUARDED_BY(mu_);

@@ -34,20 +34,63 @@ void Raylet::set_metrics(MetricsRegistry* registry) {
   workers_.WireMetrics(hooks);
 }
 
-Status Raylet::Enqueue(TaskSpec spec) {
+Status Raylet::Enqueue(TaskSpecPtr spec) {
   if (dead_.load()) {
     return Status::Unavailable("raylet on " + node_.id.ToString() + " is dead");
   }
-  bool accepted = workers_.Post([this, spec = std::move(spec)]() mutable {
-    RunTask(std::move(spec));
-  });
+  ActorRecord* actor = nullptr;
+  if (spec->actor.valid()) {
+    MutexLock lock(actors_mu_);
+    auto it = actors_.find(spec->actor);
+    if (it != actors_.end()) {
+      actor = it->second.get();  // records are never erased
+    }
+  }
+  bool accepted = false;
+  if (actor != nullptr) {
+    bool start = false;
+    {
+      MutexLock lock(actor->mu);
+      actor->mailbox.push_back(std::move(spec));
+      start = !actor->draining;
+      actor->draining = true;
+    }
+    if (!start) {
+      return Status::Ok();  // the draining worker will run it in turn
+    }
+    accepted = workers_.Post([this, actor] { DrainMailbox(actor); });
+    if (!accepted) {
+      // Nobody was draining, so the mailbox holds only this call.
+      MutexLock lock(actor->mu);
+      actor->mailbox.clear();
+      actor->draining = false;
+    }
+  } else {
+    accepted = workers_.Post([this, spec = std::move(spec)] { RunTask(*spec, nullptr); });
+  }
   if (!accepted) {
     return Status::Unavailable("raylet on " + node_.id.ToString() + " shut down");
   }
   return Status::Ok();
 }
 
-void Raylet::RunTask(TaskSpec spec) {
+void Raylet::DrainMailbox(ActorRecord* actor) {
+  for (;;) {
+    TaskSpecPtr spec;
+    {
+      MutexLock lock(actor->mu);
+      if (actor->mailbox.empty()) {
+        actor->draining = false;
+        return;
+      }
+      spec = std::move(actor->mailbox.front());
+      actor->mailbox.pop_front();
+    }
+    RunTask(*spec, actor);
+  }
+}
+
+void Raylet::RunTask(const TaskSpec& spec, ActorRecord* actor) {
   if (queue_depth_gauge_ != nullptr) {
     queue_depth_gauge_->Set(static_cast<int64_t>(queue_depth()));
   }
@@ -124,7 +167,7 @@ void Raylet::RunTask(TaskSpec spec) {
                                                          input_bytes);
   clock_->Charge(compute_nanos);
 
-  Result<TaskFunction> fn = registry_->Lookup(spec.function);
+  Result<const TaskFunction*> fn = registry_->Lookup(spec.function);
   if (!fn.ok()) {
     callbacks_.fail(spec, fn.status(), node_.id);
     return;
@@ -147,21 +190,13 @@ void Raylet::RunTask(TaskSpec spec) {
     trace::TraceSpan compute_span(names::kSpanRayletCompute, compute_nanos,
                                   "compute_nanos");
     if (spec.actor.valid()) {
-      ActorRecord* record = nullptr;
-      {
-        MutexLock lock(actors_mu_);
-        auto it = actors_.find(spec.actor);
-        if (it == actors_.end()) {
-          return Status::NotFound("actor " + spec.actor.ToString() + " not on " +
-                                  node_.id.ToString());
-        }
-        record = it->second.get();
+      if (actor == nullptr) {
+        return Status::NotFound("actor " + spec.actor.ToString() + " not on " +
+                                node_.id.ToString());
       }
-      MutexLock serial(record->serial);
-      ctx.actor_state = &record->state;
-      return (*fn)(ctx, args);
+      ctx.actor_state = &actor->state;
     }
-    return (*fn)(ctx, args);
+    return (**fn)(ctx, args);
   }();
 
   if (!outputs.ok()) {

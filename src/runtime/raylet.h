@@ -11,6 +11,7 @@
 #define SRC_RUNTIME_RAYLET_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <unordered_map>
 
@@ -67,11 +68,13 @@ class Raylet {
   // as set_runtime; call before traffic (SkadiRuntime's constructor does).
   void set_metrics(MetricsRegistry* registry);
 
-  // Queues a task for execution. Fails when the raylet is dead.
-  Status Enqueue(TaskSpec spec);
+  // Queues a task for execution. Fails when the raylet is dead. The queued
+  // work item shares `spec` with the scheduler; nothing copies it.
+  Status Enqueue(TaskSpecPtr spec);
 
   // Actor management: actors live on exactly one raylet and their tasks run
-  // serially against the state cell.
+  // one at a time against the state cell, in the order they were enqueued
+  // (the actor's mailbox).
   Status CreateActor(ActorId actor, std::shared_ptr<void> initial_state);
   bool HasActor(ActorId actor) const;
 
@@ -91,7 +94,13 @@ class Raylet {
   void Shutdown();
 
  private:
-  void RunTask(TaskSpec spec);
+  struct ActorRecord;
+
+  // Runs one task; actor calls run against `actor`'s state (null for plain
+  // tasks, or for an actor that does not live here, which fails the call).
+  void RunTask(const TaskSpec& spec, ActorRecord* actor);
+  // Runs `actor`'s queued calls in order until its mailbox is empty.
+  void DrainMailbox(ActorRecord* actor);
 
   ClusterNode node_;
   SkadiRuntime* runtime_ = nullptr;
@@ -110,11 +119,17 @@ class Raylet {
   Histogram* task_nanos_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;
 
+  // An actor's state plus its mailbox. One worker at a time drains the
+  // mailbox (the one that flipped `draining`), so calls never run
+  // concurrently and never out of dispatch order, and no worker parks
+  // waiting for the actor.
   struct ActorRecord {
     explicit ActorRecord(std::shared_ptr<void> initial_state)
         : state(std::move(initial_state)) {}
-    Mutex serial;  // one actor task at a time
-    std::shared_ptr<void> state GUARDED_BY(serial);
+    std::shared_ptr<void> state;  // touched only by the draining worker
+    Mutex mu;
+    std::deque<TaskSpecPtr> mailbox GUARDED_BY(mu);
+    bool draining GUARDED_BY(mu) = false;
   };
   mutable Mutex actors_mu_;
   std::unordered_map<ActorId, std::unique_ptr<ActorRecord>> actors_

@@ -113,7 +113,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
           }
           // Lineage recovery re-arms the object to pending; retry on a wheel
           // timer with capped exponential backoff (was a sleep_for loop).
-          rt_->metrics().GetCounter(names::kRuntimeLostRetries).Increment();
+          rt_->lost_retries_->Increment();
           trace::Instant(names::kSpanRuntimeLostRetry, backoff_nanos_,
                          "backoff_nanos");
           const int64_t delay = backoff_nanos_;
@@ -162,9 +162,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
     }
     rt_->DeregisterOp(this);
     if (mode_ == Mode::kDriverGet) {
-      rt_->metrics()
-          .GetHistogram(names::kRuntimeGetNanos)
-          .Record(NowNanos() - start_nanos_);
+      rt_->get_nanos_->Record(NowNanos() - start_nanos_);
     }
     trace::EndSpan(span_, result.ok() ? 1 : 0, "ok");
     // Run the user continuation under the op's context so whatever it posts
@@ -191,7 +189,23 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
 
 SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
                            RuntimeOptions options)
-    : cluster_(cluster), registry_(registry), options_(options) {
+    : cluster_(cluster),
+      registry_(registry),
+      options_(options),
+      tasks_submitted_(&metrics().GetCounter(names::kRuntimeTasksSubmitted)),
+      tasks_completed_(&metrics().GetCounter(names::kRuntimeTasksCompleted)),
+      tasks_failed_(&metrics().GetCounter(names::kRuntimeTasksFailed)),
+      control_hops_(&metrics().GetCounter(names::kRuntimeControlHops)),
+      pushes_(&metrics().GetCounter(names::kRuntimePushes)),
+      push_misses_(&metrics().GetCounter(names::kRuntimePushMisses)),
+      resolve_local_hits_(&metrics().GetCounter(names::kRuntimeResolveLocalHits)),
+      pull_resolutions_(&metrics().GetCounter(names::kRuntimePullResolutions)),
+      nodes_killed_(&metrics().GetCounter(names::kRuntimeNodesKilled)),
+      unrecoverable_objects_(&metrics().GetCounter(names::kRuntimeUnrecoverableObjects)),
+      lineage_reexecutions_(&metrics().GetCounter(names::kRuntimeLineageReexecutions)),
+      lost_retries_(&metrics().GetCounter(names::kRuntimeLostRetries)),
+      get_nanos_(&metrics().GetHistogram(names::kRuntimeGetNanos)),
+      lineage_entries_(&metrics().GetGauge(names::kRuntimeLineageEntries)) {
   // Every node that can run tasks gets a raylet + an ownership table, and
   // registers a no-op control endpoint so control messages are costed by the
   // fabric.
@@ -236,7 +250,7 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
 
   scheduler_ = std::make_unique<Scheduler>(
       &cluster_->cache(), &metrics(), options_.policy,
-      [this](const TaskSpec& spec, NodeId target) { return DispatchToNode(spec, target); },
+      [this](const TaskSpecPtr& spec, NodeId target) { return DispatchToNode(spec, target); },
       options_.seed, SchedulerOptions{options_.control_plane_shards});
   scheduler_->SetNodes(std::move(schedulable));
 
@@ -251,7 +265,7 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
             // cache_locally=true: the transfer lands the value in the
             // consumer's store, making the consume-side read local.
             (void)cluster_->cache().Get(e.object, dst, /*cache_locally=*/true);
-            metrics().GetCounter(names::kRuntimePushes).Increment();
+            pushes_->Increment();
           }
         },
         options_.push_batch_max);
@@ -342,7 +356,7 @@ int SkadiRuntime::ControlMessage(NodeId from, NodeId to, int64_t payload_bytes) 
     // counts the message. Ignore NotFound against just-killed nodes.
     (void)cluster_->fabric().Call(src, dst, "ctrl",
                                   Buffer::Zeros(static_cast<size_t>(payload_bytes)));
-    metrics().GetCounter(names::kRuntimeControlHops).Increment();
+    control_hops_->Increment();
     ++hops;
   };
 
@@ -385,7 +399,9 @@ Result<std::vector<ObjectRef>> SkadiRuntime::Submit(TaskSpec spec) {
   spec.id = TaskId::Next();
   spec.owner = cluster_->head();
   spec.returns.clear();
+  spec.returns.reserve(static_cast<size_t>(spec.num_returns));
   std::vector<ObjectRef> refs;
+  refs.reserve(static_cast<size_t>(spec.num_returns));
   OwnershipTable& table = ownership(spec.owner);
   for (int i = 0; i < spec.num_returns; ++i) {
     ObjectId oid = ObjectId::Next();
@@ -393,15 +409,19 @@ Result<std::vector<ObjectRef>> SkadiRuntime::Submit(TaskSpec spec) {
     SKADI_RETURN_IF_ERROR(table.RegisterObject(oid, spec.id));
     refs.push_back(ObjectRef{oid, spec.owner});
   }
-  {
+  // From here on the spec is immutable and shared, never copied: lineage,
+  // the scheduler and the raylet all hold this one pointer.
+  TaskSpecPtr shared = std::make_shared<const TaskSpec>(std::move(spec));
+  if (!refs.empty()) {
     MutexLock lock(mu_);
-    lineage_[spec.id] = spec;
+    lineage_[shared->id] = LineageEntry{shared, static_cast<int>(refs.size())};
+    lineage_entries_->Set(static_cast<int64_t>(lineage_.size()));
     for (const ObjectRef& ref : refs) {
-      object_owner_[ref.id] = ref.owner;
+      object_owner_[ref.id] = ObjectRecord{ref.owner, shared->id};
     }
   }
-  metrics().GetCounter(names::kRuntimeTasksSubmitted).Increment();
-  SKADI_RETURN_IF_ERROR(scheduler_->Submit(std::move(spec)));
+  tasks_submitted_->Increment();
+  SKADI_RETURN_IF_ERROR(scheduler_->Submit(std::move(shared)));
   return refs;
 }
 
@@ -431,13 +451,14 @@ Result<ObjectRef> SkadiRuntime::PutAt(Buffer value, NodeId node) {
   }
   {
     MutexLock lock(mu_);
-    object_owner_[id] = head;
+    object_owner_[id] = ObjectRecord{head, TaskId()};
   }
   scheduler_->MarkObjectReady(id);
   return ObjectRef{id, head};
 }
 
-Status SkadiRuntime::DispatchToNode(const TaskSpec& spec, NodeId target) {
+Status SkadiRuntime::DispatchToNode(const TaskSpecPtr& spec_ptr, NodeId target) {
+  const TaskSpec& spec = *spec_ptr;
   Raylet* r = raylet(target);
   if (r == nullptr) {
     return Status::NotFound("no raylet on " + target.ToString());
@@ -485,7 +506,7 @@ Status SkadiRuntime::DispatchToNode(const TaskSpec& spec, NodeId target) {
           // local.
           ControlMessage(ref.owner, target);
           (void)cluster_->cache().Get(ref.id, target, /*cache_locally=*/true);
-          metrics().GetCounter(names::kRuntimePushes).Increment();
+          pushes_->Increment();
         }
       }
     }
@@ -494,7 +515,7 @@ Status SkadiRuntime::DispatchToNode(const TaskSpec& spec, NodeId target) {
     }
   }
 
-  return r->Enqueue(spec);
+  return r->Enqueue(spec_ptr);
 }
 
 Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& spec,
@@ -503,7 +524,7 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
   // lucky locality placement).
   LocalObjectStore* store = cluster_->cache().StoreOf(at);
   if (store != nullptr && store->Contains(ref.id)) {
-    metrics().GetCounter(names::kRuntimeResolveLocalHits).Increment();
+    resolve_local_hits_->Increment();
     return cluster_->cache().Get(ref.id, at);
   }
 
@@ -511,7 +532,7 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
     // Push mode should have delivered the value before dispatch; reaching
     // here means the object lives remotely without a local copy (e.g. a
     // replica eviction). Fall through to a pull-style fetch.
-    metrics().GetCounter(names::kRuntimePushMisses).Increment();
+    push_misses_->Increment();
   }
 
   // Pull protocol: a costed control round trip to the owner's ownership
@@ -519,7 +540,7 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
   // GetOp on the fabric reactor (lost objects retry on a wheel timer, not a
   // sleep loop); this worker thread parks on the completion Event.
   ControlMessage(at, ref.owner);
-  metrics().GetCounter(names::kRuntimePullResolutions).Increment();
+  pull_resolutions_->Increment();
 
   const int64_t timeout_ms = options_.default_get_timeout_ms;
   auto ev = std::make_shared<Event>();
@@ -595,6 +616,13 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
     ControlMessage(at, spec.owner);
     auto consumers = table.MarkReady(oid, at, size, node->device.id,
                                      /*device_handle=*/node->device.id.value());
+    if (consumers.status().code() == StatusCode::kNotFound) {
+      // The driver released this return while the task ran (or before a
+      // lineage re-execution): nobody can read it, so drop the stored copy
+      // and still publish the task's other returns.
+      (void)cluster_->cache().Delete(oid);
+      continue;
+    }
     if (!consumers.ok()) {
       return consumers.status();
     }
@@ -609,7 +637,7 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
         } else {
           ControlMessage(spec.owner, consumer.node);
           (void)cluster_->cache().Get(oid, consumer.node, /*cache_locally=*/true);
-          metrics().GetCounter(names::kRuntimePushes).Increment();
+          pushes_->Increment();
         }
       }
     }
@@ -628,13 +656,13 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
     scheduler_->OnObjectReady(oid);
   }
 
-  metrics().GetCounter(names::kRuntimeTasksCompleted).Increment();
+  tasks_completed_->Increment();
   scheduler_->OnTaskFinished(spec.id);
   return Status::Ok();
 }
 
 void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId at) {
-  metrics().GetCounter(names::kRuntimeTasksFailed).Increment();
+  tasks_failed_->Increment();
   SKADI_LOG(kInfo) << "task " << spec.id << " (" << spec.function
                    << ") failed: " << status.ToString();
   if (status.code() == StatusCode::kAborted) {
@@ -762,8 +790,20 @@ Status SkadiRuntime::Release(const ObjectRef& ref) {
   }
   if (*removed) {
     (void)cluster_->cache().Delete(ref.id);  // best effort; may be uncached
+    TaskSpecPtr dropped;  // destroyed (with its inline args) after the unlock
     MutexLock lock(mu_);
-    object_owner_.erase(ref.id);
+    auto it = object_owner_.find(ref.id);
+    if (it == object_owner_.end()) {
+      return Status::Ok();
+    }
+    const TaskId producer = it->second.producer;
+    object_owner_.erase(it);
+    auto lit = lineage_.find(producer);
+    if (lit != lineage_.end() && --lit->second.live_returns == 0) {
+      dropped = std::move(lit->second.spec);
+      lineage_.erase(lit);
+      lineage_entries_->Set(static_cast<int64_t>(lineage_.size()));
+    }
   }
   return Status::Ok();
 }
@@ -802,7 +842,7 @@ Status SkadiRuntime::KillNode(NodeId node) {
     return Status::NotFound("no raylet on " + node.ToString());
   }
   SKADI_LOG(kInfo) << "killing node " << node;
-  metrics().GetCounter(names::kRuntimeNodesKilled).Increment();
+  nodes_killed_->Increment();
 
   // 1. Stop the node: raylet rejects work, fabric rejects messages.
   r->Kill();
@@ -840,55 +880,41 @@ void SkadiRuntime::RecoverLostObjects(const std::vector<ObjectId>& lost) {
   // consume other lost objects; re-arm and re-submit each producing task
   // once. Argument waits inside workers order the re-execution correctly.
   std::vector<ObjectId> frontier = lost;
-  std::unordered_map<TaskId, TaskSpec> to_resubmit;
+  std::unordered_map<TaskId, TaskSpecPtr> to_resubmit;
 
   while (!frontier.empty()) {
     ObjectId oid = frontier.back();
     frontier.pop_back();
 
-    TaskId producer;
-    {
-      // Find the owner of this object to consult lineage.
-      NodeId owner;
-      {
-        MutexLock lock(mu_);
-        auto oit = object_owner_.find(oid);
-        if (oit == object_owner_.end()) {
-          continue;
-        }
-        owner = oit->second;
-      }
-      auto produced = ownership(owner).ProducedBy(oid);
-      if (!produced.ok() || !produced->valid()) {
-        // Driver Put without lineage: unrecoverable; leave kLost.
-        metrics().GetCounter(names::kRuntimeUnrecoverableObjects).Increment();
-        continue;
-      }
-      producer = *produced;
-    }
-
-    TaskSpec spec;
+    TaskSpecPtr spec;
     {
       MutexLock lock(mu_);
-      auto lit = lineage_.find(producer);
-      if (lit == lineage_.end()) {
-        metrics().GetCounter(names::kRuntimeUnrecoverableObjects).Increment();
-        continue;
+      auto oit = object_owner_.find(oid);
+      if (oit == object_owner_.end()) {
+        continue;  // released: nothing left to recover it for
       }
-      spec = lit->second;
+      auto lit = lineage_.find(oit->second.producer);
+      if (lit != lineage_.end()) {
+        spec = lit->second.spec;
+      }
     }
-    if (to_resubmit.count(producer) > 0) {
+    if (spec == nullptr) {
+      // Driver Put (no producer), so no lineage: leave kLost.
+      unrecoverable_objects_->Increment();
+      continue;
+    }
+    if (to_resubmit.count(spec->id) > 0) {
       continue;
     }
 
     // Re-arm every lost return of this producer.
-    for (ObjectId ret : spec.returns) {
+    for (ObjectId ret : spec->returns) {
       // Only returns still recorded as lost re-arm; others were re-created.
-      (void)ownership(spec.owner).MarkPendingForReconstruction(ret, spec.id);
+      (void)ownership(spec->owner).MarkPendingForReconstruction(ret, spec->id);
     }
 
     // Any lost arguments must be re-produced first; enqueue them too.
-    for (const TaskArg& arg : spec.args) {
+    for (const TaskArg& arg : spec->args) {
       if (!arg.is_ref()) {
         continue;
       }
@@ -897,22 +923,21 @@ void SkadiRuntime::RecoverLostObjects(const std::vector<ObjectId>& lost) {
         frontier.push_back(arg.ref().id);
       }
     }
-    to_resubmit.emplace(producer, std::move(spec));
+    to_resubmit.emplace(spec->id, std::move(spec));
   }
 
   for (auto& [task, spec] : to_resubmit) {
-    metrics().GetCounter(names::kRuntimeLineageReexecutions).Increment();
+    lineage_reexecutions_->Increment();
+    // The spec is immutable, so the re-execution shares the lineage copy.
     Status resubmitted = scheduler_->Submit(spec);
     if (!resubmitted.ok()) {
       SKADI_LOG(kWarn) << "lineage re-execution of " << task
                        << " failed: " << resubmitted.ToString();
-      metrics().GetCounter(names::kRuntimeUnrecoverableObjects).Increment();
+      unrecoverable_objects_->Increment();
     }
   }
 }
 
-int64_t SkadiRuntime::control_hops() const {
-  return const_cast<SkadiRuntime*>(this)->metrics().GetCounter(names::kRuntimeControlHops).value();
-}
+int64_t SkadiRuntime::control_hops() const { return control_hops_->value(); }
 
 }  // namespace skadi

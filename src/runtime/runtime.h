@@ -102,6 +102,7 @@ class SkadiRuntime {
   Status Wait(const std::vector<ObjectRef>& refs, int64_t timeout_ms = -1);
 
   // Drops a driver reference; the object is deleted when the count is zero.
+  // Deleting a task's last live return also drops the task's lineage.
   Status Release(const ObjectRef& ref);
 
   // --- Actors ---
@@ -158,7 +159,7 @@ class SkadiRuntime {
   // Scheduler::OnTaskAborted; other failures are terminal.
   void FailTask(const TaskSpec& spec, const Status& status, NodeId at);
 
-  Status DispatchToNode(const TaskSpec& spec, NodeId target);
+  Status DispatchToNode(const TaskSpecPtr& spec, NodeId target);
 
   // Recovery helpers.
   void RecoverLostObjects(const std::vector<ObjectId>& lost);
@@ -184,12 +185,40 @@ class SkadiRuntime {
   mutable Mutex ops_mu_;
   std::unordered_map<GetOp*, std::weak_ptr<GetOp>> live_ops_ GUARDED_BY(ops_mu_);
 
+  // Lineage of one task: its shared spec and how many of its returns are
+  // still live. Release drops the entry with the last return; a released
+  // object has no ownership record left, so recovery could never reach it.
+  struct LineageEntry {
+    TaskSpecPtr spec;
+    int live_returns = 0;
+  };
+  // Every live object's owner and producing task (invalid for Puts).
+  struct ObjectRecord {
+    NodeId owner;
+    TaskId producer;
+  };
+
   mutable Mutex mu_;
-  // task id -> spec
-  std::unordered_map<TaskId, TaskSpec> lineage_ GUARDED_BY(mu_);
-  // for Release/Get sanity
-  std::unordered_map<ObjectId, NodeId> object_owner_ GUARDED_BY(mu_);
+  std::unordered_map<TaskId, LineageEntry> lineage_ GUARDED_BY(mu_);
+  std::unordered_map<ObjectId, ObjectRecord> object_owner_ GUARDED_BY(mu_);
   std::unordered_map<ActorId, NodeId> actor_homes_ GUARDED_BY(mu_);
+
+  // Metric handles, resolved once at construction (DESIGN.md §12); the
+  // registry belongs to the fabric, which outlives the runtime.
+  Counter* tasks_submitted_;
+  Counter* tasks_completed_;
+  Counter* tasks_failed_;
+  Counter* control_hops_;
+  Counter* pushes_;
+  Counter* push_misses_;
+  Counter* resolve_local_hits_;
+  Counter* pull_resolutions_;
+  Counter* nodes_killed_;
+  Counter* unrecoverable_objects_;
+  Counter* lineage_reexecutions_;
+  Counter* lost_retries_;
+  Histogram* get_nanos_;
+  Gauge* lineage_entries_;
 };
 
 }  // namespace skadi

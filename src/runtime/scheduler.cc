@@ -56,7 +56,7 @@ Scheduler::Scheduler(CachingLayer* cache, MetricsRegistry* metrics,
 }
 
 void Scheduler::SetNodes(std::vector<SchedulableNode> nodes) {
-  std::vector<TaskSpec> orphans;
+  std::vector<TaskSpecPtr> orphans;
   {
     MutexLock lock(nodes_mu_);
     std::vector<QueuePtr> new_queues;
@@ -219,11 +219,11 @@ Result<Scheduler::QueuePtr> Scheduler::PickQueue(const TaskSpec& spec) {
   return Status::Internal("unreachable policy");
 }
 
-Status Scheduler::Submit(TaskSpec spec) {
-  if (!spec.gang_group.empty()) {
+Status Scheduler::Submit(TaskSpecPtr spec) {
+  if (!spec->gang_group.empty()) {
     {
       MutexLock lock(gangs_mu_);
-      gangs_[spec.gang_group].push_back(std::move(spec));
+      gangs_[spec->gang_group].push_back(std::move(spec));
     }
     gang_members_.fetch_add(1, std::memory_order_relaxed);
     gang_buffered_ctr_->Increment();
@@ -233,7 +233,7 @@ Status Scheduler::Submit(TaskSpec spec) {
   }
 
   int refs = 0;
-  for (const TaskArg& arg : spec.args) {
+  for (const TaskArg& arg : spec->args) {
     if (arg.is_ref()) {
       ++refs;
     }
@@ -252,7 +252,7 @@ Status Scheduler::Submit(TaskSpec spec) {
   // OnObjectReady) the dispatcher.
   auto pending = std::make_shared<Pending>();
   pending->spec = std::move(spec);
-  const TaskId id = pending->spec.id;
+  const TaskId id = pending->spec->id;
   pending->unresolved.store(refs + 1, std::memory_order_relaxed);
   {
     ParkShard& p = park_shard(id);
@@ -262,7 +262,7 @@ Status Scheduler::Submit(TaskSpec spec) {
   parked_count_.fetch_add(1, std::memory_order_relaxed);
 
   int already_ready = 0;
-  for (const TaskArg& arg : pending->spec.args) {
+  for (const TaskArg& arg : pending->spec->args) {
     if (!arg.is_ref()) {
       continue;
     }
@@ -307,7 +307,7 @@ void Scheduler::OnObjectReady(ObjectId id) {
     }
   }
 
-  std::vector<TaskSpec> to_route;
+  std::vector<TaskSpecPtr> to_route;
   for (TaskId task : waiters) {
     std::shared_ptr<Pending> pending;
     ParkShard& p = park_shard(task);
@@ -337,18 +337,18 @@ void Scheduler::OnObjectReady(ObjectId id) {
 void Scheduler::MarkObjectReady(ObjectId id) { OnObjectReady(id); }
 
 void Scheduler::TryReleaseGangs() {
-  std::vector<TaskSpec> to_route;
+  std::vector<TaskSpecPtr> to_route;
   {
     MutexLock lock(gangs_mu_);
     for (auto it = gangs_.begin(); it != gangs_.end();) {
-      std::vector<TaskSpec>& members = it->second;
-      if (members.empty() || static_cast<int>(members.size()) < members[0].gang_size) {
+      std::vector<TaskSpecPtr>& members = it->second;
+      if (members.empty() || static_cast<int>(members.size()) < members[0]->gang_size) {
         ++it;
         continue;
       }
       bool deps_ready = true;
-      for (const TaskSpec& m : members) {
-        if (!DepsReady(m)) {  // gangs_mu_ -> IndexShard::mu
+      for (const TaskSpecPtr& m : members) {
+        if (!DepsReady(*m)) {  // gangs_mu_ -> IndexShard::mu
           deps_ready = false;
           break;
         }
@@ -372,7 +372,7 @@ void Scheduler::TryReleaseGangs() {
       gangs_dispatched_ctr_->Increment();
       gang_members_.fetch_sub(static_cast<int64_t>(members.size()),
                               std::memory_order_relaxed);
-      for (TaskSpec& m : members) {
+      for (TaskSpecPtr& m : members) {
         to_route.push_back(std::move(m));
       }
       it = gangs_.erase(it);
@@ -382,18 +382,18 @@ void Scheduler::TryReleaseGangs() {
   RouteAll(std::move(to_route));
 }
 
-void Scheduler::Route(TaskSpec spec) {
+void Scheduler::Route(TaskSpecPtr spec) {
   for (;;) {
-    Result<QueuePtr> picked = PickQueue(spec);
+    Result<QueuePtr> picked = PickQueue(*spec);
     if (!picked.ok()) {
-      SKADI_LOG(kWarn) << "task " << spec.id << " unschedulable: "
+      SKADI_LOG(kWarn) << "task " << spec->id << " unschedulable: "
                        << picked.status().ToString();
       unschedulable_ctr_->Increment();
       if (unschedulable_) {
         // Terminal placement failure: surface it so the task's futures
         // resolve (the runtime marks the returns lost) instead of pending
         // forever.
-        unschedulable_(spec, picked.status());
+        unschedulable_(*spec, picked.status());
       }
       return;
     }
@@ -414,8 +414,8 @@ void Scheduler::Route(TaskSpec spec) {
   }
 }
 
-void Scheduler::RouteAll(std::vector<TaskSpec> specs) {
-  for (TaskSpec& spec : specs) {
+void Scheduler::RouteAll(std::vector<TaskSpecPtr> specs) {
+  for (TaskSpecPtr& spec : specs) {
     Route(std::move(spec));
   }
 }
@@ -429,7 +429,7 @@ void Scheduler::Pump(const QueuePtr& q) {
     q->pumping = true;
   }
   for (;;) {
-    TaskSpec spec;
+    TaskSpecPtr spec;
     {
       MutexLock lock(q->mu);
       if (q->tasks.empty() || q->removed) {
@@ -448,19 +448,19 @@ void Scheduler::Pump(const QueuePtr& q) {
   TrySteal(q);
 }
 
-void Scheduler::DispatchOne(TaskSpec spec, const QueuePtr& q) {
+void Scheduler::DispatchOne(TaskSpecPtr spec, const QueuePtr& q) {
   // Re-dispatches (object-ready wakeups, failover, steals) run far from the
   // submitting stack, so adopt the spec's stamped context rather than
   // whatever this thread happens to be doing.
-  trace::ScopedContext adopt(spec.trace_ctx);
+  trace::ScopedContext adopt(spec->trace_ctx);
   trace::TraceSpan dispatch_span(names::kSpanSchedulerDispatch);
 
   const NodeId target = q->info.id;
+  const TaskId id = spec->id;
   {
-    TaskShard& t = task_shard(spec.id);
+    TaskShard& t = task_shard(id);
     MutexLock lock(t.mu);
-    t.task_node[spec.id] = target;
-    t.inflight_specs[spec.id] = spec;
+    t.inflight_specs[id] = InFlight{target, spec};
   }
   q->inflight.fetch_add(1, std::memory_order_relaxed);
 
@@ -473,13 +473,12 @@ void Scheduler::DispatchOne(TaskSpec spec, const QueuePtr& q) {
   // record, drop the dead node, and re-route. Each failure removes a node,
   // so the retry chain terminates in at most |nodes| hops before Route's
   // pick fails and the task is reported unschedulable.
-  SKADI_LOG(kWarn) << "dispatch of task " << spec.id << " to " << target
+  SKADI_LOG(kWarn) << "dispatch of task " << id << " to " << target
                    << " failed, retrying elsewhere: " << st.ToString();
   {
-    TaskShard& t = task_shard(spec.id);
+    TaskShard& t = task_shard(id);
     MutexLock lock(t.mu);
-    t.task_node.erase(spec.id);
-    t.inflight_specs.erase(spec.id);
+    t.inflight_specs.erase(id);
   }
   q->inflight.fetch_sub(1, std::memory_order_relaxed);
   retries_ctr_->Increment();
@@ -533,12 +532,12 @@ void Scheduler::TrySteal(const QueuePtr& q) {
     // Steal the newest compatible task from the victim's tail (oldest stays
     // with the victim: it is next to dispatch there and likeliest to have
     // locality).
-    TaskSpec spec;
+    TaskSpecPtr spec;
     bool got = false;
     {
       MutexLock lock(victim->mu);
       for (auto it = victim->tasks.rbegin(); it != victim->tasks.rend(); ++it) {
-        if (!Compatible(*it, *q)) {
+        if (!Compatible(**it, *q)) {
           continue;
         }
         spec = std::move(*it);
@@ -571,7 +570,7 @@ void Scheduler::RemoveNode(NodeId node) {
     queue_by_node_.erase(it);
     queues_.erase(std::remove(queues_.begin(), queues_.end(), q), queues_.end());
   }
-  std::vector<TaskSpec> orphans;
+  std::vector<TaskSpecPtr> orphans;
   {
     MutexLock lock(q->mu);
     q->removed = true;
@@ -593,13 +592,12 @@ void Scheduler::OnTaskFinished(TaskId task) {
   {
     TaskShard& t = task_shard(task);
     MutexLock lock(t.mu);
-    auto it = t.task_node.find(task);
-    if (it != t.task_node.end()) {
-      node = it->second;
+    auto it = t.inflight_specs.find(task);
+    if (it != t.inflight_specs.end()) {
+      node = it->second.node;
       found = true;
-      t.task_node.erase(it);
+      t.inflight_specs.erase(it);
     }
-    t.inflight_specs.erase(task);
   }
   QueuePtr q;
   if (found) {
@@ -620,25 +618,19 @@ void Scheduler::OnTaskFinished(TaskId task) {
 }
 
 void Scheduler::OnTaskAborted(const TaskSpec& spec, NodeId at) {
-  TaskSpec to_redispatch;
+  TaskSpecPtr to_redispatch;
   {
     TaskShard& t = task_shard(spec.id);
     MutexLock lock(t.mu);
-    auto it = t.task_node.find(spec.id);
-    if (it == t.task_node.end() || it->second != at) {
+    auto it = t.inflight_specs.find(spec.id);
+    if (it == t.inflight_specs.end() || it->second.node != at) {
       // Stale abort: OnNodeFailure (or an earlier abort) already failed the
       // task over and the record is gone or tracks the new target. The live
       // attempt owns the slot accounting; nothing to do here.
       return;
     }
-    t.task_node.erase(it);
-    auto sit = t.inflight_specs.find(spec.id);
-    if (sit != t.inflight_specs.end()) {
-      to_redispatch = std::move(sit->second);
-      t.inflight_specs.erase(sit);
-    } else {
-      to_redispatch = spec;
-    }
+    to_redispatch = std::move(it->second.spec);
+    t.inflight_specs.erase(it);
   }
   {
     MutexLock lock(nodes_mu_);
@@ -658,17 +650,13 @@ void Scheduler::OnTaskAborted(const TaskSpec& spec, NodeId at) {
 
 void Scheduler::OnNodeFailure(NodeId node) {
   RemoveNode(node);  // re-routes anything still queued there
-  std::vector<TaskSpec> to_redispatch;
+  std::vector<TaskSpecPtr> to_redispatch;
   for (auto& shard : task_shards_) {
     MutexLock lock(shard->mu);
-    for (auto it = shard->task_node.begin(); it != shard->task_node.end();) {
-      if (it->second == node) {
-        auto sit = shard->inflight_specs.find(it->first);
-        if (sit != shard->inflight_specs.end()) {
-          to_redispatch.push_back(std::move(sit->second));
-          shard->inflight_specs.erase(sit);
-        }
-        it = shard->task_node.erase(it);
+    for (auto it = shard->inflight_specs.begin(); it != shard->inflight_specs.end();) {
+      if (it->second.node == node) {
+        to_redispatch.push_back(std::move(it->second.spec));
+        it = shard->inflight_specs.erase(it);
       } else {
         ++it;
       }

@@ -71,8 +71,9 @@ class Scheduler {
   // dispatch: actually sends the spec to the chosen node's raylet (the
   // runtime wires this through the fabric so dispatch is a costed control
   // message). Returns non-OK if the node is dead, in which case the task is
-  // re-queued for another placement.
-  using DispatchFn = std::function<Status(const TaskSpec& spec, NodeId target)>;
+  // re-queued for another placement. The pointer is the one handed to
+  // Submit; a re-routed task is dispatched with the same pointer again.
+  using DispatchFn = std::function<Status(const TaskSpecPtr& spec, NodeId target)>;
 
   // Invoked (outside every scheduler lock) when a task cannot be placed on
   // any node after retries. The runtime uses this to fail the task terminally
@@ -92,8 +93,13 @@ class Scheduler {
 
   // Submits a task: dispatches immediately if every ref argument is ready,
   // otherwise parks it until OnObjectReady unblocks it. Gang members park
-  // until the whole gang is present and has slots.
-  Status Submit(TaskSpec spec);
+  // until the whole gang is present and has slots. Every queue, park cell,
+  // gang buffer and in-flight record shares `spec`; none copies it.
+  Status Submit(TaskSpecPtr spec);
+  // Convenience for callers that own a spec outright (tests, benches).
+  Status Submit(TaskSpec spec) {
+    return Submit(std::make_shared<const TaskSpec>(std::move(spec)));
+  }
 
   // Called by the runtime when an object transitions to ready.
   void OnObjectReady(ObjectId id);
@@ -134,7 +140,7 @@ class Scheduler {
 
     const SchedulableNode info;  // immutable after construction
     Mutex mu;
-    std::deque<TaskSpec> tasks GUARDED_BY(mu);
+    std::deque<TaskSpecPtr> tasks GUARDED_BY(mu);
     bool pumping GUARDED_BY(mu) = false;
     // Tasks dispatched to this raylet and not yet finished. Atomic so the
     // load-aware pick and gang slot check read it without the queue lock.
@@ -155,7 +161,7 @@ class Scheduler {
   // reach zero early; whichever decrement lands the counter on zero owns the
   // spec and dispatches it exactly once.
   struct Pending {
-    TaskSpec spec;
+    TaskSpecPtr spec;
     std::atomic<int> unresolved{0};
   };
 
@@ -170,11 +176,15 @@ class Scheduler {
     std::unordered_map<TaskId, std::shared_ptr<Pending>> parked GUARDED_BY(mu);
   };
 
-  // In-flight bookkeeping for failover (task -> node, task -> spec).
+  // In-flight bookkeeping for failover: the node a dispatched task went to
+  // and its spec, so a node death can re-route it.
+  struct InFlight {
+    NodeId node;
+    TaskSpecPtr spec;
+  };
   struct TaskShard {
     Mutex mu;
-    std::unordered_map<TaskId, NodeId> task_node GUARDED_BY(mu);
-    std::unordered_map<TaskId, TaskSpec> inflight_specs GUARDED_BY(mu);
+    std::unordered_map<TaskId, InFlight> inflight_specs GUARDED_BY(mu);
   };
 
   IndexShard& index_shard(ObjectId id) const {
@@ -198,14 +208,14 @@ class Scheduler {
   // Places one dep-ready task: pick a queue, enqueue, pump. On terminal
   // placement failure invokes unschedulable_. Never holds a lock across
   // dispatch_.
-  void Route(TaskSpec spec);
-  void RouteAll(std::vector<TaskSpec> specs);
+  void Route(TaskSpecPtr spec);
+  void RouteAll(std::vector<TaskSpecPtr> specs);
 
   // Drains q if no other thread is pumping it; steals for q when it empties.
   void Pump(const QueuePtr& q);
   // Records in-flight state and calls dispatch_; on failure removes the node
   // and re-routes the spec.
-  void DispatchOne(TaskSpec spec, const QueuePtr& q);
+  void DispatchOne(TaskSpecPtr spec, const QueuePtr& q);
   // If q has spare worker capacity and an empty queue, repeatedly steals the
   // newest compatible task from the longest other queue and dispatches it on
   // q's node.
@@ -249,7 +259,7 @@ class Scheduler {
   // Lock order: gangs_mu_ -> IndexShard::mu (dep check) and -> nodes_mu_
   // (slot check); nothing takes gangs_mu_ while holding another lock.
   mutable Mutex gangs_mu_;
-  std::map<std::string, std::vector<TaskSpec>> gangs_ GUARDED_BY(gangs_mu_);
+  std::map<std::string, std::vector<TaskSpecPtr>> gangs_ GUARDED_BY(gangs_mu_);
 
   // Cheap pending_tasks() (the gauge updates on every submit).
   std::atomic<int64_t> parked_count_{0};

@@ -99,6 +99,11 @@ struct TaskSpec {
   trace::Context trace_ctx;
 };
 
+// The one immutable copy of a submitted task. SkadiRuntime::Submit builds it
+// once; lineage, the scheduler's queues and in-flight records, and the
+// raylet's work queue all share it (DESIGN.md §5).
+using TaskSpecPtr = std::shared_ptr<const TaskSpec>;
+
 // Execution-time context handed to the function body.
 struct TaskContext {
   TaskId task;
@@ -138,13 +143,15 @@ class FunctionRegistry {
     return Status::Ok();
   }
 
-  Result<TaskFunction> Lookup(const std::string& name) const {
+  // The returned pointer stays valid for the registry's lifetime: map nodes
+  // never move and nothing is ever erased.
+  Result<const TaskFunction*> Lookup(const std::string& name) const {
     MutexLock lock(mu_);
     auto it = functions_.find(name);
     if (it == functions_.end()) {
       return Status::NotFound("function '" + name + "' not registered");
     }
-    return it->second;
+    return &it->second;
   }
 
   bool Contains(const std::string& name) const {

@@ -254,28 +254,20 @@ TEST_F(StressTest, ManyActorsConcurrentCounters) {
         record("wait: " + waited.ToString());
         return;
       }
-      // Actor tasks are serialized (one at a time against the state cell) but
-      // NOT ordered: the runtime may run the last-submitted call before an
-      // earlier one. The atomicity invariant is that the 25 increments produce
-      // the outputs {1..25} as a set — any lost update collapses two outputs
-      // onto one value.
-      std::vector<int64_t> outputs;
-      for (const ObjectRef& ref : refs) {
-        auto got = runtime_->Get(ref);
+      // One caller per actor: its calls run one at a time and in submission
+      // order (the actor's mailbox), so the i-th call sees exactly i+1. A
+      // lost update collapses two outputs onto one value; a reordered call
+      // swaps two.
+      for (int i = 0; i < kCallsPerActor; ++i) {
+        auto got = runtime_->Get(refs[static_cast<size_t>(i)]);
         if (!got.ok()) {
           record("get: " + got.status().ToString());
           return;
         }
-        outputs.push_back(I64Of(*got));
-      }
-      std::sort(outputs.begin(), outputs.end());
-      for (int i = 0; i < kCallsPerActor; ++i) {
-        if (outputs[static_cast<size_t>(i)] != i + 1) {
-          record("counter outputs are not {1.." +
-                 std::to_string(kCallsPerActor) + "}: saw " +
-                 std::to_string(outputs[static_cast<size_t>(i)]) +
-                 " at sorted position " + std::to_string(i) +
-                 " — an increment was lost or duplicated");
+        if (I64Of(*got) != i + 1) {
+          record("call " + std::to_string(i) + " saw " + std::to_string(I64Of(*got)) +
+                 ", expected " + std::to_string(i + 1) +
+                 " — an increment was lost, duplicated or reordered");
           return;
         }
       }

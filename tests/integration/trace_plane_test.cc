@@ -89,6 +89,10 @@ TEST_F(TracePlaneTest, CrossNodeSubmitRunGetIsOneConnectedSpanTree) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(I64Of(*result), 104);
   }
+  // Get returns once the last output is ready, which can be before the
+  // worker that produced it closes its raylet.run_task span. Drain the
+  // raylets so every span is recorded before the snapshot.
+  runtime_->Shutdown();
 
   std::vector<trace::TraceEvent> all = trace::Snapshot();
 
@@ -163,6 +167,7 @@ TEST_F(TracePlaneTest, RuntimeStatsSurfaceCoversHotSubsystems) {
     current = (*refs)[0];
   }
   ASSERT_TRUE(runtime_->Get(current, 30000).ok());
+  runtime_->Shutdown();  // the last task's raylet.task_nanos sample lands after Get
 
   MetricsRegistry& m = runtime_->metrics();
   EXPECT_EQ(m.GetCounter(names::kRuntimeTasksSubmitted).value(), 3);

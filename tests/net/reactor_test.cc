@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -322,6 +323,87 @@ TEST(ReactorTest, CrossThreadPostHammer) {
   }
   EXPECT_TRUE(done.BlockingWait(NowNanos() + 60'000 * kMs));
   EXPECT_EQ(count->load(), kProducers * kPerProducer);
+  r.Shutdown();
+}
+
+TEST(ReactorTest, TimerOnIdleReactorFiresWithinTwoTicks) {
+  // ScheduleAfter wakes a driver only when none is waiting for the next
+  // tick. With no timers pending the lone driver sits in an untimed wait,
+  // so arming a timer must still wake it.
+  Event fired;
+  std::atomic<int64_t> fired_at{0};
+  Reactor::Options opt;
+  opt.tick_nanos = 50 * kMs;
+  Reactor r("idle-timer", opt);
+  r.Start(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  ASSERT_EQ(r.pending_timers(), 0u);
+  const int64_t armed_at = NowNanos();
+  ASSERT_NE(r.ScheduleAfter(0, [&] {
+              fired_at.store(NowNanos());
+              fired.Set();
+            }),
+            0u);
+  ASSERT_TRUE(fired.BlockingWait(NowNanos() + 5'000 * kMs));
+  EXPECT_LE(fired_at.load() - armed_at, 2 * opt.tick_nanos);
+  r.Shutdown();
+}
+
+TEST(ReactorTest, TimerFiresThroughSecondDriverWhileFirstIsBusy) {
+  // A pending far-off timer puts idle drivers into tick waits, the state in
+  // which ScheduleAfter skips its wake-up. One driver then runs a 50 ms
+  // continuation; a 2 ms timer armed meanwhile must fire through the other
+  // driver instead of waiting for the busy one.
+  Event busy_started;
+  Event fired;
+  std::atomic<bool> busy_done{false};
+  std::atomic<bool> fired_while_busy{false};
+  Reactor r("busy-timer");
+  r.Start(2);
+  const TimerId far = r.ScheduleAfter(60'000 * kMs, [] {});
+  ASSERT_NE(far, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  r.Post([&] {
+    busy_started.Set();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    busy_done.store(true);
+  });
+  ASSERT_TRUE(busy_started.BlockingWait(NowNanos() + 5'000 * kMs));
+  ASSERT_NE(r.ScheduleAfter(2 * kMs, [&] {
+              fired_while_busy.store(!busy_done.load());
+              fired.Set();
+            }),
+            0u);
+  ASSERT_TRUE(fired.BlockingWait(NowNanos() + 5'000 * kMs));
+  EXPECT_TRUE(fired_while_busy.load());
+  EXPECT_TRUE(r.Cancel(far));
+  r.Shutdown();
+}
+
+TEST(ReactorTest, TickWaiterThatGetsBusyHandsTicksToIdleDriver) {
+  // The driver in the tick wait runs a due 50 ms timer itself, while the
+  // other driver sits in an untimed wait. A timer armed earlier woke nobody
+  // (a tick waiter existed then), so the busy driver must wake the idle one
+  // to keep the wheel turning.
+  Event fired;
+  std::atomic<bool> busy_done{false};
+  std::atomic<bool> fired_while_busy{false};
+  Reactor r("hand-off");
+  r.Start(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // both park
+  ASSERT_NE(r.ScheduleAfter(5 * kMs, [&] {
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              busy_done.store(true);
+            }),
+            0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));  // one tick-waits
+  ASSERT_NE(r.ScheduleAfter(20 * kMs, [&] {
+              fired_while_busy.store(!busy_done.load());
+              fired.Set();
+            }),
+            0u);
+  ASSERT_TRUE(fired.BlockingWait(NowNanos() + 5'000 * kMs));
+  EXPECT_TRUE(fired_while_busy.load());
   r.Shutdown();
 }
 

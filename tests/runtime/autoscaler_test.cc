@@ -39,7 +39,7 @@ class AutoscalerTest : public ::testing::Test {
     for (int i = 0; i < n; ++i) {
       TaskSpec spec = Call("hold", {});
       spec.id = TaskId::Next();
-      ASSERT_TRUE(raylet_->Enqueue(spec).ok());
+      ASSERT_TRUE(raylet_->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
     }
   }
 

@@ -72,7 +72,7 @@ TEST_F(RayletTest, ExecutesValueTask) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Call("inc_i64", {TaskArg::Value(I64Buffer(9))});
   spec.id = TaskId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(completed_.size(), 1u);
   EXPECT_EQ(I64Of(completed_[0].second[0]), 10);
@@ -85,7 +85,7 @@ TEST_F(RayletTest, ResolvesRefArgsThroughCallback) {
   resolvable_[dep] = I64Buffer(41);
   TaskSpec spec = Call("inc_i64", {TaskArg::Ref({dep, NodeId::Next()})});
   spec.id = TaskId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(completed_.size(), 1u);
   EXPECT_EQ(I64Of(completed_[0].second[0]), 42);
@@ -95,7 +95,7 @@ TEST_F(RayletTest, UnresolvableArgFailsTask) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Call("inc_i64", {TaskArg::Ref({ObjectId::Next(), NodeId::Next()})});
   spec.id = TaskId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
   EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);
@@ -106,7 +106,7 @@ TEST_F(RayletTest, UnknownFunctionFails) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Call("mystery", {});
   spec.id = TaskId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
   EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);
@@ -117,7 +117,7 @@ TEST_F(RayletTest, WrongReturnCountFails) {
   TaskSpec spec = Call("echo", {TaskArg::Value(Buffer::FromString("x"))});
   spec.id = TaskId::Next();
   spec.num_returns = 2;  // echo produces 1
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
   EXPECT_EQ(failed_[0].second.code(), StatusCode::kInternal);
@@ -128,7 +128,7 @@ TEST_F(RayletTest, ChargesFixedComputeNanos) {
   TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
   spec.id = TaskId::Next();
   spec.fixed_compute_nanos = 123456;
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   EXPECT_EQ(clock_.total_nanos(), 123456);
 }
@@ -138,7 +138,7 @@ TEST_F(RayletTest, ChargesCostModelByDefault) {
   TaskSpec spec = Call("echo", {TaskArg::Value(Buffer::Zeros(1 << 20))});
   spec.id = TaskId::Next();
   spec.op_class = OpClass::kScan;
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   EXPECT_EQ(clock_.total_nanos(),
             CostModel::EstimateNanos(node_.device, OpClass::kScan, 1 << 20));
@@ -154,11 +154,11 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
   }).ok());
   TaskSpec blocker = Call("block_20ms", {});
   blocker.id = TaskId::Next();
-  ASSERT_TRUE(raylet->Enqueue(blocker).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(blocker)).ok());
   for (int i = 0; i < 3; ++i) {
     TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
     spec.id = TaskId::Next();
-    ASSERT_TRUE(raylet->Enqueue(spec).ok());
+    ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   }
   raylet->Kill();
   EXPECT_TRUE(raylet->dead());
@@ -170,7 +170,7 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
   for (auto& [task, status] : failed_) {
     EXPECT_EQ(status.code(), StatusCode::kAborted);
   }
-  EXPECT_FALSE(raylet->Enqueue(Call("echo", {})).ok());
+  EXPECT_FALSE(raylet->Enqueue(std::make_shared<const TaskSpec>(Call("echo", {}))).ok());
 }
 
 TEST_F(RayletTest, WorkerGrowthIncreasesParallelism) {
@@ -202,7 +202,7 @@ TEST_F(RayletTest, ActorStatePersistsAcrossTasks) {
     TaskSpec spec = Call("append_char", {TaskArg::Value(Buffer::FromString(c))});
     spec.id = TaskId::Next();
     spec.actor = actor;
-    ASSERT_TRUE(raylet->Enqueue(spec).ok());
+    ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   }
   AwaitOutcomes(3);
   MutexLock lock(mu_);
@@ -215,7 +215,7 @@ TEST_F(RayletTest, ActorTaskWithoutActorFails) {
   TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
   spec.id = TaskId::Next();
   spec.actor = ActorId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
   EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);

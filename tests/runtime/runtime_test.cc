@@ -475,6 +475,92 @@ TEST_F(RuntimeTest, LineageRecoveryReproducesLostObject) {
   EXPECT_GE(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 1);
 }
 
+// The first compute node that is not the head.
+NodeId NonHeadComputeNode(Cluster& cluster) {
+  for (NodeId n : cluster.ComputeNodes()) {
+    if (n != cluster.head()) {
+      return n;
+    }
+  }
+  return NodeId();
+}
+
+TEST_F(RuntimeTest, LineageDroppedWhenReturnsReleased) {
+  Build();
+  Gauge& lineage = runtime_->metrics().GetGauge("runtime.lineage_entries");
+  const int64_t start = lineage.value();
+  std::vector<ObjectRef> refs;
+  for (int i = 0; i < 16; ++i) {
+    auto r = runtime_->Submit(Call("inc_i64", {TaskArg::Value(I64Buffer(i))}));
+    ASSERT_TRUE(r.ok());
+    refs.push_back((*r)[0]);
+  }
+  EXPECT_EQ(lineage.value(), start + 16);
+  ASSERT_TRUE(runtime_->Wait(refs, 10000).ok());
+  for (const ObjectRef& ref : refs) {
+    ASSERT_TRUE(runtime_->Release(ref).ok());
+  }
+  EXPECT_EQ(lineage.value(), start);
+}
+
+TEST_F(RuntimeTest, TwoReturnTaskKeepsLineageUntilSecondRelease) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kLineage;
+  Build(options);
+  ASSERT_TRUE(registry_.Register("split_i64", [](TaskContext&, std::vector<Buffer>& args)
+                                      -> Result<std::vector<Buffer>> {
+    const int64_t v = I64Of(args[0]);
+    return std::vector<Buffer>{I64Buffer(v), I64Buffer(v + 1)};
+  }).ok());
+  Gauge& lineage = runtime_->metrics().GetGauge("runtime.lineage_entries");
+  const int64_t start = lineage.value();
+
+  const NodeId victim = NonHeadComputeNode(*cluster_);
+  TaskSpec spec = Call("split_i64", {TaskArg::Value(I64Buffer(7))});
+  spec.num_returns = 2;
+  spec.pinned_node = victim;
+  auto refs = runtime_->Submit(std::move(spec));
+  ASSERT_TRUE(refs.ok());
+  ASSERT_EQ(refs->size(), 2u);
+  ASSERT_TRUE(runtime_->Wait(*refs, 10000).ok());
+
+  ASSERT_TRUE(runtime_->Release((*refs)[0]).ok());
+  EXPECT_EQ(lineage.value(), start + 1);
+  // The kept lineage still recovers the live return.
+  ASSERT_TRUE(runtime_->KillNode(victim).ok());
+  auto second = runtime_->Get((*refs)[1], 15000);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(I64Of(*second), 8);
+  EXPECT_EQ(lineage.value(), start + 1);
+
+  ASSERT_TRUE(runtime_->Release((*refs)[1]).ok());
+  EXPECT_EQ(lineage.value(), start);
+}
+
+TEST_F(RuntimeTest, KillNodeReexecutesOnlyLiveLostObjects) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kLineage;
+  Build(options);
+  const NodeId victim = NonHeadComputeNode(*cluster_);
+  TaskSpec kept_spec = Call("inc_i64", {TaskArg::Value(I64Buffer(41))});
+  kept_spec.pinned_node = victim;
+  auto kept = runtime_->Submit(std::move(kept_spec));
+  ASSERT_TRUE(kept.ok());
+  TaskSpec dropped_spec = Call("inc_i64", {TaskArg::Value(I64Buffer(1))});
+  dropped_spec.pinned_node = victim;
+  auto dropped = runtime_->Submit(std::move(dropped_spec));
+  ASSERT_TRUE(dropped.ok());
+  ASSERT_TRUE(runtime_->Wait({(*kept)[0], (*dropped)[0]}, 10000).ok());
+  ASSERT_TRUE(runtime_->Release((*dropped)[0]).ok());
+
+  ASSERT_TRUE(runtime_->KillNode(victim).ok());
+  auto result = runtime_->Get((*kept)[0], 15000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(I64Of(*result), 42);
+  // Only the producer of the live object ran again.
+  EXPECT_EQ(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 1);
+}
+
 TEST_F(RuntimeTest, RecoveryDisabledReportsDataLoss) {
   RuntimeOptions options;
   options.recovery = RecoveryMode::kNone;

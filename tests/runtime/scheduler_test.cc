@@ -37,8 +37,8 @@ class SchedulerTest : public ::testing::Test {
                                            int workers = 2) {
     auto scheduler = std::make_unique<Scheduler>(
         cache_.get(), &metrics_, policy,
-        [this](const TaskSpec& spec, NodeId target) {
-          dispatched_.emplace_back(spec.id, target);
+        [this](const TaskSpecPtr& spec, NodeId target) {
+          dispatched_.emplace_back(spec->id, target);
           return dispatch_result_;
         });
     std::vector<SchedulableNode> nodes;
@@ -230,12 +230,12 @@ TEST_F(SchedulerTest, DispatchFailureRetriesElsewhere) {
   int calls = 0;
   auto failing = std::make_unique<Scheduler>(
       cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
-      [this, &calls](const TaskSpec& spec, NodeId target) -> Status {
+      [this, &calls](const TaskSpecPtr& spec, NodeId target) -> Status {
         ++calls;
         if (calls == 1) {
           return Status::Unavailable("node died");
         }
-        dispatched_.emplace_back(spec.id, target);
+        dispatched_.emplace_back(spec->id, target);
         return Status::Ok();
       });
   std::vector<SchedulableNode> nodes;
@@ -246,6 +246,29 @@ TEST_F(SchedulerTest, DispatchFailureRetriesElsewhere) {
   ASSERT_TRUE(failing->Submit(MakeTask()).ok());
   EXPECT_EQ(calls, 2);
   ASSERT_EQ(dispatched_.size(), 1u);
+}
+
+TEST_F(SchedulerTest, RerouteAfterFailedDispatchKeepsSpecPointer) {
+  // The scheduler never copies a spec: the retry after a failed dispatch
+  // hands the dispatch function the very pointer that was submitted.
+  std::vector<const TaskSpec*> seen;
+  auto scheduler = std::make_unique<Scheduler>(
+      cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
+      [&seen](const TaskSpecPtr& spec, NodeId) -> Status {
+        seen.push_back(spec.get());
+        return seen.size() == 1 ? Status::Unavailable("node died") : Status::Ok();
+      });
+  std::vector<SchedulableNode> nodes;
+  for (NodeId n : node_ids_) {
+    nodes.push_back(SchedulableNode{n, DeviceKind::kCpu, NodeId(), 2});
+  }
+  scheduler->SetNodes(std::move(nodes));
+  auto spec = std::make_shared<const TaskSpec>(MakeTask());
+  ASSERT_TRUE(scheduler->Submit(spec).ok());
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], spec.get());
+  EXPECT_EQ(seen[1], spec.get());
+  EXPECT_EQ(metrics_.GetCounter("scheduler.dispatch_retries").value(), 1);
 }
 
 TEST_F(SchedulerTest, PolicySwitchAtRuntime) {
@@ -265,8 +288,8 @@ TEST_F(SchedulerTest, SingleShardBaselineBehavesIdentically) {
   // plane bench compares against; placement semantics must not change.
   auto scheduler = std::make_unique<Scheduler>(
       cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
-      [this](const TaskSpec& spec, NodeId target) {
-        dispatched_.emplace_back(spec.id, target);
+      [this](const TaskSpecPtr& spec, NodeId target) {
+        dispatched_.emplace_back(spec->id, target);
         return Status::Ok();
       },
       /*seed=*/17, SchedulerOptions{1});
@@ -301,10 +324,10 @@ TEST_F(SchedulerTest, IdleNodeStealsFromLongestQueue) {
   std::vector<std::pair<TaskId, NodeId>> calls;
   auto scheduler = std::make_unique<Scheduler>(
       cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
-      [&](const TaskSpec& spec, NodeId target) {
+      [&](const TaskSpecPtr& spec, NodeId target) {
         {
           MutexLock lock(mu);
-          calls.emplace_back(spec.id, target);
+          calls.emplace_back(spec->id, target);
         }
         if (target == a && blocking.load()) {
           entered.Set();
@@ -373,13 +396,13 @@ TEST_F(SchedulerTest, NodeDiesMidStealTaskRetriesElsewhere) {
   std::vector<std::pair<TaskId, NodeId>> ok_calls;
   auto scheduler = std::make_unique<Scheduler>(
       cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
-      [&](const TaskSpec& spec, NodeId target) -> Status {
+      [&](const TaskSpecPtr& spec, NodeId target) -> Status {
         if (target == b && b_dead.load()) {
           return Status::Unavailable("node died mid-steal");
         }
         {
           MutexLock lock(mu);
-          ok_calls.emplace_back(spec.id, target);
+          ok_calls.emplace_back(spec->id, target);
         }
         if (target == a && blocking.load()) {
           entered.Set();
@@ -433,10 +456,10 @@ TEST_F(SchedulerTest, ConcurrentSubmitNoLossNoDoubleDispatch) {
   std::vector<TaskId> completable;
   auto scheduler = std::make_unique<Scheduler>(
       cache_.get(), &metrics_, SchedulingPolicy::kLoadAware,
-      [&](const TaskSpec& spec, NodeId) {
+      [&](const TaskSpecPtr& spec, NodeId) {
         MutexLock lock(mu);
-        dispatch_count[spec.id] += 1;
-        completable.push_back(spec.id);
+        dispatch_count[spec->id] += 1;
+        completable.push_back(spec->id);
         return Status::Ok();
       });
   std::vector<SchedulableNode> nodes;

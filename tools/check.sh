@@ -64,6 +64,11 @@ echo "==> [analyze] skadi-analyzer (whole tree + SARIF + inventory)"
 python3 tools/analyze/skadi_analyzer.py --sarif build/analyze/findings.sarif
 
 run_mode default  build-check
+# The end-to-end benchmark builds its own tree from this checkout
+# (.bench_build/); its smoke run keeps src/ API changes from silently
+# breaking it.
+echo "==> [default] perfbench smoke"
+python3 perfbench/run.py --smoke > /dev/null
 run_mode thread   build-tsan  -DSKADI_SANITIZE=thread
 run_mode address  build-asan  -DSKADI_SANITIZE=address
 

@@ -46,6 +46,15 @@ Checks:
                     segments; a trailing dot marks a prefix family). Tests
                     and benches may use ad-hoc literal names. Escape hatch:
                     `// lint:allow metric-name (<reason>)`.
+  metric-handle     a registry lookup in src/ whose result updates a metric
+                    directly — GetCounter / GetGauge / GetHistogram(...)
+                    chained into .Increment / .Add / .Record / .Set, also
+                    across line breaks. Each lookup takes the registry's
+                    global mutex and hashes a string; resolve the handle
+                    once at construction into a member pointer and bump
+                    that instead. Escape hatch:
+                    `// lint:allow metric-handle (<reason>)` on the lookup
+                    line.
   annotation-reason every analyzer escape hatch must say why: an
                     `// analyze:allow <rule>` needs a non-empty
                     `(<reason>)` and an `// analyze:lifetime` needs a
@@ -96,6 +105,9 @@ RULE_DOCS = {
                           "path; alias with Wrap/Slice",
     "metric-name": "metric/span literals in src/ must come from "
                    "src/common/metric_names.h and be dot-case",
+    "metric-handle": "no Get{Counter,Gauge,Histogram}(...) chained into "
+                     ".Increment/.Add/.Record/.Set in src/; resolve the "
+                     "handle once at construction",
     "annotation-reason": "analyze:allow needs a non-empty (<reason>); "
                          "analyze:lifetime needs a non-empty reason text",
 }
@@ -161,6 +173,10 @@ METRIC_CALL_RE = re.compile(
 METRIC_DECL_RE = re.compile(
     r'inline\s+constexpr\s+char\s+k\w+\[\]\s*=\s*"((?:\\.|[^"\\])*)"')
 DOT_CASE_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*\.?$")
+
+# Metric handle hygiene: a lookup whose result is updated on the spot.
+METRIC_LOOKUP_RE = re.compile(r"\bGet(Counter|Gauge|Histogram)\s*\(")
+METRIC_UPDATE_RE = re.compile(r"\s*\.\s*(Increment|Add|Record|Set)\s*\(")
 
 
 def strip_strings_and_comments(text):
@@ -235,6 +251,8 @@ class Linter:
             self.check_metric_name_decls(path, raw)
         elif rel.startswith("src" + os.sep):
             self.check_metric_names(path, raw, raw_lines)
+        if rel.startswith("src" + os.sep):
+            self.check_metric_handles(path, raw_lines, stripped)
 
     def check_include_guard(self, path, raw):
         if not (INCLUDE_GUARD_RE.search(raw) or PRAGMA_ONCE_RE.search(raw)):
@@ -364,6 +382,29 @@ class Linter:
                         f"declared in {METRIC_NAME_FILE}; pass the names:: "
                         "constant (or annotate "
                         "`// lint:allow metric-name (reason)`)")
+
+    def check_metric_handles(self, path, raw_lines, stripped):
+        # `stripped` has strings and comments blanked (offsets kept), so
+        # parentheses inside literals cannot unbalance the scan below.
+        for m in METRIC_LOOKUP_RE.finditer(stripped):
+            depth, end = 1, m.end()
+            while end < len(stripped) and depth > 0:
+                if stripped[end] == "(":
+                    depth += 1
+                elif stripped[end] == ")":
+                    depth -= 1
+                end += 1
+            update = METRIC_UPDATE_RE.match(stripped, end)
+            if depth != 0 or update is None:
+                continue
+            lineno = stripped.count("\n", 0, m.start()) + 1
+            if line_allows(raw_lines[lineno - 1], "metric-handle"):
+                continue
+            self.report(path, lineno, "metric-handle",
+                        f"Get{m.group(1)}(...).{update.group(1)}() looks the "
+                        "metric up on every update; resolve the handle once "
+                        "at construction into a member pointer (or annotate "
+                        "`// lint:allow metric-handle (reason)`)")
 
     def check_annotation_reason(self, path, raw_lines):
         # Analyzer suppressions are load-bearing: a reasonless one cannot be
