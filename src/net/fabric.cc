@@ -1,9 +1,16 @@
 #include "src/net/fabric.h"
 
+#include "src/common/hash.h"
 #include "src/common/metric_names.h"
 #include "src/common/trace.h"
 
 namespace skadi {
+
+namespace {
+size_t HandlerSlot(NodeId node, std::string_view service) {
+  return static_cast<size_t>(HashCombine(MixU64(node.value()), HashString(service)));
+}
+}  // namespace
 
 Fabric::Fabric(std::shared_ptr<Topology> topology)
     : topology_(std::move(topology)), reactor_("fabric-reactor") {
@@ -27,15 +34,72 @@ Fabric::Fabric(std::shared_ptr<Topology> topology)
 
 Fabric::~Fabric() { reactor_.Shutdown(); }
 
-Status Fabric::RegisterHandler(NodeId node, const std::string& service, Handler handler) {
+Status Fabric::RegisterHandler(NodeId node, std::string_view service, Handler handler) {
   MutexLock lock(mu_);
-  auto& services = handlers_[node];
-  auto [it, inserted] = services.emplace(service, std::move(handler));
-  if (!inserted) {
-    return Status::AlreadyExists("service '" + service + "' already registered on " +
-                                 node.ToString());
+  HandlerTable* table = handler_table_.load(std::memory_order_relaxed);
+  if (Find(table, node, service) != nullptr) {
+    return Status::AlreadyExists("service '" + std::string(service) +
+                                 "' already registered on " + node.ToString());
   }
+  handler_entries_.push_back(std::make_unique<HandlerEntry>(
+      HandlerEntry{node, std::string(service), std::move(handler)}));
+  if (table != nullptr && 2 * handler_entries_.size() <= table->slots.size()) {
+    Insert(*table, handler_entries_.back().get());
+    return Status::Ok();
+  }
+  size_t slots = 16;
+  while (slots < 4 * handler_entries_.size()) {
+    slots *= 2;
+  }
+  auto grown = std::make_unique<HandlerTable>(slots);
+  for (const auto& entry : handler_entries_) {
+    Insert(*grown, entry.get());
+  }
+  handler_table_.store(grown.get(), std::memory_order_release);
+  handler_tables_.push_back(std::move(grown));
   return Status::Ok();
+}
+
+const Fabric::HandlerEntry* Fabric::Find(const HandlerTable* table, NodeId node,
+                                         std::string_view service) {
+  if (table == nullptr) {
+    return nullptr;
+  }
+  // Never more than half full, so the probe always reaches an empty slot.
+  const size_t mask = table->slots.size() - 1;
+  for (size_t i = HandlerSlot(node, service) & mask;; i = (i + 1) & mask) {
+    const HandlerEntry* entry = table->slots[i].load(std::memory_order_acquire);
+    if (entry == nullptr) {
+      return nullptr;
+    }
+    if (entry->node == node && entry->service == service) {
+      return entry;
+    }
+  }
+}
+
+void Fabric::Insert(HandlerTable& table, const HandlerEntry* entry) {
+  const size_t mask = table.slots.size() - 1;
+  size_t i = HandlerSlot(entry->node, entry->service) & mask;
+  while (table.slots[i].load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & mask;
+  }
+  // Release: a reader that sees the pointer sees the whole entry.
+  table.slots[i].store(entry, std::memory_order_release);
+}
+
+Result<const Fabric::Handler*> Fabric::LookupHandler(NodeId dst,
+                                                     std::string_view service) const {
+  if (IsDead(dst)) {
+    return Status::Unavailable("node " + dst.ToString() + " is dead");
+  }
+  const HandlerEntry* entry =
+      Find(handler_table_.load(std::memory_order_acquire), dst, service);
+  if (entry == nullptr) {
+    return Status::NotFound("service '" + std::string(service) + "' not found on " +
+                            dst.ToString());
+  }
+  return &entry->handler;
 }
 
 void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control) {
@@ -51,31 +115,16 @@ void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control) {
   clock_.Account(topology_->TransferNanos(src, dst, bytes));
 }
 
-Result<Buffer> Fabric::Call(NodeId src, NodeId dst, const std::string& service,
+Result<Buffer> Fabric::Call(NodeId src, NodeId dst, std::string_view service,
                             Buffer request) {
-  Handler handler;
-  {
-    MutexLock lock(mu_);
-    if (dead_nodes_.count(dst) > 0) {
-      return Status::Unavailable("node " + dst.ToString() + " is dead");
-    }
-    auto nit = handlers_.find(dst);
-    if (nit == handlers_.end()) {
-      return Status::NotFound("no services on " + dst.ToString());
-    }
-    auto sit = nit->second.find(service);
-    if (sit == nit->second.end()) {
-      return Status::NotFound("service '" + service + "' not found on " + dst.ToString());
-    }
-    handler = sit->second;
-  }
+  SKADI_ASSIGN_OR_RETURN(const Handler* handler, LookupHandler(dst, service));
   // Synchronous RPC on the caller's thread: the caller's thread-local trace
   // context flows into the handler for free, so this span brackets both the
   // request charge and the handler body (arg = request bytes).
   trace::TraceSpan call_span(names::kSpanFabricCall,
                              static_cast<int64_t>(request.size()), "bytes");
   Charge(src, dst, static_cast<int64_t>(request.size()), /*is_control=*/true);
-  Result<Buffer> response = handler(request);
+  Result<Buffer> response = (*handler)(request);
   if (!response.ok()) {
     Charge(dst, src, 0, /*is_control=*/true);
     return response.status();
@@ -84,25 +133,10 @@ Result<Buffer> Fabric::Call(NodeId src, NodeId dst, const std::string& service,
   return response;
 }
 
-Status Fabric::Send(NodeId src, NodeId dst, const std::string& service, Buffer request) {
-  Handler handler;
-  {
-    MutexLock lock(mu_);
-    if (dead_nodes_.count(dst) > 0) {
-      return Status::Unavailable("node " + dst.ToString() + " is dead");
-    }
-    auto nit = handlers_.find(dst);
-    if (nit == handlers_.end()) {
-      return Status::NotFound("no services on " + dst.ToString());
-    }
-    auto sit = nit->second.find(service);
-    if (sit == nit->second.end()) {
-      return Status::NotFound("service '" + service + "' not found on " + dst.ToString());
-    }
-    handler = sit->second;
-  }
+Status Fabric::Send(NodeId src, NodeId dst, std::string_view service, Buffer request) {
+  SKADI_ASSIGN_OR_RETURN(const Handler* handler, LookupHandler(dst, service));
   Charge(src, dst, static_cast<int64_t>(request.size()), /*is_control=*/true);
-  Result<Buffer> response = handler(request);
+  Result<Buffer> response = (*handler)(request);
   return response.status();
 }
 
@@ -112,16 +146,13 @@ int64_t Fabric::TransferBytes(NodeId src, NodeId dst, int64_t bytes) {
 
 int64_t Fabric::TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes,
                                    Continuation done) {
-  {
-    MutexLock lock(mu_);
-    // A transfer from/to a dead node silently accounts nothing; callers check
-    // liveness before initiating transfers, this is a backstop.
-    if (dead_nodes_.count(src) > 0 || dead_nodes_.count(dst) > 0) {
-      if (done) {
-        done();
-      }
-      return 0;
+  // A transfer from/to a dead node silently accounts nothing; callers check
+  // liveness before initiating transfers, this is a backstop.
+  if (IsDead(src) || IsDead(dst)) {
+    if (done) {
+      done();
     }
+    return 0;
   }
   const auto c = static_cast<size_t>(topology_->Classify(src, dst));
   bytes_by_class_[c]->Add(bytes);
@@ -148,14 +179,19 @@ int64_t Fabric::TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes,
 void Fabric::MarkDead(NodeId node) {
   MutexLock lock(mu_);
   dead_nodes_.insert(node);
+  dead_count_.store(dead_nodes_.size(), std::memory_order_release);
 }
 
 void Fabric::Revive(NodeId node) {
   MutexLock lock(mu_);
   dead_nodes_.erase(node);
+  dead_count_.store(dead_nodes_.size(), std::memory_order_release);
 }
 
 bool Fabric::IsDead(NodeId node) const {
+  if (dead_count_.load(std::memory_order_acquire) == 0) {
+    return false;
+  }
   MutexLock lock(mu_);
   return dead_nodes_.count(node) > 0;
 }

@@ -16,11 +16,13 @@
 #define SRC_NET_FABRIC_H_
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/buffer.h"
 #include "src/common/clock.h"
@@ -54,17 +56,17 @@ class Fabric {
   void set_realize_fraction(double fraction) { clock_.set_realize_fraction(fraction); }
 
   // Registers the handler for `service` on `node`. One handler per
-  // (node, service) pair.
-  Status RegisterHandler(NodeId node, const std::string& service, Handler handler);
+  // (node, service) pair; handlers are never removed.
+  Status RegisterHandler(NodeId node, std::string_view service, Handler handler);
 
   // Synchronous RPC from src to dst. Charges request + response transfer
   // cost and counts one control round trip. Fails kUnavailable if the target
-  // node is dead or has no such service.
-  Result<Buffer> Call(NodeId src, NodeId dst, const std::string& service, Buffer request);
+  // node is dead, kNotFound if it has no such service.
+  Result<Buffer> Call(NodeId src, NodeId dst, std::string_view service, Buffer request);
 
   // One-way message: charges one transfer, runs the handler, discards the
   // reply. Used by the push-based future-resolution protocol.
-  Status Send(NodeId src, NodeId dst, const std::string& service, Buffer request);
+  Status Send(NodeId src, NodeId dst, std::string_view service, Buffer request);
 
   // Bulk data-plane transfer accounting (no handler involved): charges the
   // modelled time for `bytes` between the two nodes and counts it. Returns
@@ -80,7 +82,9 @@ class Fabric {
   // charged modelled nanoseconds.
   int64_t TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes, Continuation done);
 
-  // Failure injection: a dead node rejects calls and sends.
+  // Failure injection: a dead node rejects calls and sends. While no node is
+  // dead, IsDead (and the checks in Call/Send/TransferBytesAsync) read one
+  // atomic and take no lock.
   void MarkDead(NodeId node);
   void Revive(NodeId node);
   bool IsDead(NodeId node) const;
@@ -93,6 +97,27 @@ class Fabric {
   int64_t bytes(LinkClass link_class) const;
 
  private:
+  // Registered handlers live in an insert-only open-addressed table that
+  // Call and Send probe without a lock. Entries never move or die before the
+  // fabric; RegisterHandler inserts under mu_, and a table more than half
+  // full is replaced by one twice its size (readers of the old one still
+  // find every entry it held).
+  struct HandlerEntry {
+    NodeId node;
+    std::string service;
+    Handler handler;
+  };
+  struct HandlerTable {
+    explicit HandlerTable(size_t n) : slots(n) {}
+    std::vector<std::atomic<const HandlerEntry*>> slots;  // size: power of two
+  };
+  static const HandlerEntry* Find(const HandlerTable* table, NodeId node,
+                                  std::string_view service);
+  static void Insert(HandlerTable& table, const HandlerEntry* entry);
+
+  // The handler for (dst, service), or the status Call and Send fail with.
+  Result<const Handler*> LookupHandler(NodeId dst, std::string_view service) const;
+
   void Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control);
 
   std::shared_ptr<Topology> topology_;
@@ -109,10 +134,14 @@ class Fabric {
   Counter* data_transfers_ = nullptr;
   Counter* data_bytes_ = nullptr;
 
+  std::atomic<HandlerTable*> handler_table_{nullptr};
+  // Size of dead_nodes_, readable without mu_.
+  std::atomic<size_t> dead_count_{0};
+
   mutable Mutex mu_;
-  // (node, service) -> handler
-  std::unordered_map<NodeId, std::unordered_map<std::string, Handler>> handlers_
-      GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<HandlerEntry>> handler_entries_ GUARDED_BY(mu_);
+  // Every table published; only the last is current.
+  std::vector<std::unique_ptr<HandlerTable>> handler_tables_ GUARDED_BY(mu_);
   std::unordered_set<NodeId> dead_nodes_ GUARDED_BY(mu_);
 };
 

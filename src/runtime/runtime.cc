@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -13,25 +15,23 @@ namespace skadi {
 
 // Resolves one future as a chain of continuations on the fabric reactor.
 //
-// Lifecycle: heap-allocated via shared_ptr; every registered continuation
-// (ownership watcher, retry timer, deadline timer, cache fetch callback)
-// captures the shared_ptr, so the op outlives any late firing. `done` runs
-// exactly once (finished_ gate); the deadline timer is cancelled on early
-// completion so a resolved op does not linger on the wheel for the full
-// timeout.
+// Lifecycle: heap-allocated via shared_ptr. While pending, the op is linked
+// into the runtime's deadline queue, which holds a reference to it (pin_);
+// every registered continuation (ownership watcher, retry timer, cache fetch
+// callback) captures the shared_ptr too, so the op outlives any late firing.
+// `done` runs exactly once (finished_ gate); Finish unlinks the op, so a
+// resolved op leaves no timer or queue entry behind.
 //
 // Threading: Steps form a single chain — each state arms exactly one
 // wake-up (watcher while pending, timer while lost) and the next Step runs
 // when it fires, so backoff_nanos_/lost_rounds_ need no lock. Only the
-// deadline timer runs concurrently with the chain, and it touches nothing
-// but the atomics.
+// deadline sweep runs concurrently with the chain; it reads the queue links
+// under ops_mu_ and calls OnDeadline, which Finish's finished_ gate settles.
 struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   // kDriverGet fetches to the head node and charges the driver->owner
   // control hop; kArgResolve fetches to the consuming node and caps lost
   // retries at 64 rounds (the old ResolveArg loop bound).
   enum class Mode { kDriverGet, kArgResolve };
-
-  static constexpr TimerId kTimerDone = ~TimerId{0};
 
   GetOp(SkadiRuntime* rt, Mode mode, ObjectRef ref, NodeId dest,
         int64_t timeout_ms, std::function<void(Result<Buffer>)> done)
@@ -41,7 +41,6 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
         dest_(dest),
         timeout_ms_(timeout_ms),
         start_nanos_(NowNanos()),
-        deadline_nanos_(start_nanos_ + timeout_ms * 1'000'000),
         done_(std::move(done)),
         // The op's span opens here (under the caller's context) and closes
         // in Finish — which may run on another thread after watcher + timer
@@ -54,20 +53,10 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   Reactor& reactor() { return rt_->cluster_->fabric().reactor(); }
 
   void Start() {
-    auto self = shared_from_this();
-    rt_->RegisterOp(self);
-    TimerId t = reactor().ScheduleAfter(
-        std::max<int64_t>(deadline_nanos_ - NowNanos(), 0),
-        [self] { self->OnDeadline(); });
-    if (t != 0) {
-      TimerId expected = 0;
-      if (!deadline_timer_.compare_exchange_strong(expected, t)) {
-        reactor().Cancel(t);  // finished before the timer id landed
-      }
+    if (!rt_->LinkOp(shared_from_this())) {
+      Finish(Status::Unavailable("runtime shutting down"));
+      return;
     }
-    // A stopped reactor (cluster tear-down race) returns t == 0: no deadline
-    // timer, but Step's inline deadline check plus the caller's bounded
-    // BlockOn still guarantee termination.
     Step();
   }
 
@@ -156,11 +145,9 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
     if (finished_.exchange(true, std::memory_order_acq_rel)) {
       return;
     }
-    TimerId t = deadline_timer_.exchange(kTimerDone);
-    if (t != 0 && t != kTimerDone) {
-      reactor().Cancel(t);
-    }
-    rt_->DeregisterOp(this);
+    // The queue's reference (if still linked) keeps the op alive until the
+    // continuation below has run.
+    std::shared_ptr<GetOp> pin = rt_->UnlinkOp(this);
     if (mode_ == Mode::kDriverGet) {
       rt_->get_nanos_->Record(NowNanos() - start_nanos_);
     }
@@ -178,13 +165,19 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   const NodeId dest_;
   const int64_t timeout_ms_;
   const int64_t start_nanos_;
-  const int64_t deadline_nanos_;
+  // Stamped by LinkOp under ops_mu_ before the first Step, never changed.
+  int64_t deadline_nanos_ = 0;
   std::function<void(Result<Buffer>)> done_;
   trace::SpanHandle span_;
   std::atomic<bool> finished_{false};
-  std::atomic<TimerId> deadline_timer_{0};
   int lost_rounds_ = 0;
   int64_t backoff_nanos_ = 1'000'000;  // 1ms doubling to a 16ms cap
+
+  // Deadline-queue links, guarded by rt_->ops_mu_. fifo_ < 0: not linked.
+  GetOp* prev_ = nullptr;
+  GetOp* next_ = nullptr;
+  int fifo_ = -1;
+  std::shared_ptr<GetOp> pin_;
 };
 
 SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
@@ -297,23 +290,37 @@ void SkadiRuntime::Shutdown() {
   }
   // A caller that gave up on its bounded wait (or a GetAsync nobody waited
   // on) can leave ops with armed watcher/backoff continuations that hold a
-  // raw pointer to this runtime. Cancel them — every later continuation
+  // raw pointer to this runtime. Complete them — every later continuation
   // then early-outs on the op's own finished_ flag without touching the
-  // runtime — and drain the fabric reactor so a continuation already past
-  // that check completes before members are destroyed.
+  // runtime — and refuse new ones.
   std::vector<std::shared_ptr<GetOp>> live;
+  std::weak_ptr<SweepGate> gone;
   {
     MutexLock lock(ops_mu_);
-    live.reserve(live_ops_.size());
-    for (auto& [ptr, weak] : live_ops_) {
-      if (auto op = weak.lock()) {
-        live.push_back(std::move(op));
+    shut_down_ = true;
+    if (sweep_timer_ != 0) {
+      cluster_->fabric().reactor().Cancel(sweep_timer_);  // may have fired
+      sweep_timer_ = 0;
+    }
+    // A sweep that fired before the Cancel may still be expiring the ops it
+    // unlinked: revoke its gate, and wait it out below.
+    gone = sweep_gate_;
+    sweep_gate_.reset();
+    live.reserve(linked_ops_);
+    for (DeadlineFifo& fifo : deadline_fifos_) {
+      while (fifo.head != nullptr) {
+        live.push_back(UnlinkLocked(fifo.head));
       }
     }
   }
   for (auto& op : live) {
     op->Finish(Status::Unavailable("runtime shutting down"));
   }
+  while (!gone.expired()) {
+    std::this_thread::yield();
+  }
+  // Drain the fabric reactor so a continuation already past its finished_
+  // check completes before members are destroyed.
   auto drained = std::make_shared<Event>();
   if (cluster_->fabric().reactor().Post([drained] { drained->Set(); })) {
     (void)drained->BlockingWait(NowNanos() + 1'000'000'000);
@@ -322,14 +329,129 @@ void SkadiRuntime::Shutdown() {
   // fire a continuation anymore, so tear-down is safe without the barrier.
 }
 
-void SkadiRuntime::RegisterOp(const std::shared_ptr<GetOp>& op) {
+bool SkadiRuntime::LinkOp(const std::shared_ptr<GetOp>& op) {
   MutexLock lock(ops_mu_);
-  live_ops_[op.get()] = op;
+  if (shut_down_) {
+    return false;
+  }
+  // Stamped under the lock, so each FIFO is in deadline order.
+  op->deadline_nanos_ = NowNanos() + op->timeout_ms_ * 1'000'000;
+  int index = -1;
+  for (size_t i = 0; i < deadline_fifos_.size(); ++i) {
+    DeadlineFifo& fifo = deadline_fifos_[i];
+    if (fifo.timeout_ms == op->timeout_ms_) {
+      index = static_cast<int>(i);
+      break;
+    }
+    if (fifo.head == nullptr && index < 0) {
+      index = static_cast<int>(i);  // reusable unless the timeout has a FIFO
+    }
+  }
+  if (index < 0) {
+    index = static_cast<int>(deadline_fifos_.size());
+    deadline_fifos_.emplace_back();
+  }
+  DeadlineFifo& fifo = deadline_fifos_[static_cast<size_t>(index)];
+  if (fifo.head == nullptr) {
+    fifo.timeout_ms = op->timeout_ms_;
+  }
+  op->fifo_ = index;
+  op->pin_ = op;
+  op->prev_ = fifo.tail;
+  op->next_ = nullptr;
+  if (fifo.tail != nullptr) {
+    fifo.tail->next_ = op.get();
+  } else {
+    fifo.head = op.get();
+    ArmSweepLocked(op->deadline_nanos_);  // a new head may be the earliest
+  }
+  fifo.tail = op.get();
+  ++linked_ops_;
+  return true;
 }
 
-void SkadiRuntime::DeregisterOp(GetOp* op) {
+std::shared_ptr<SkadiRuntime::GetOp> SkadiRuntime::UnlinkOp(GetOp* op) {
   MutexLock lock(ops_mu_);
-  live_ops_.erase(op);
+  return UnlinkLocked(op);
+}
+
+std::shared_ptr<SkadiRuntime::GetOp> SkadiRuntime::UnlinkLocked(GetOp* op) {
+  if (op->fifo_ < 0) {
+    return nullptr;  // expired by the sweep or completed by Shutdown
+  }
+  DeadlineFifo& fifo = deadline_fifos_[static_cast<size_t>(op->fifo_)];
+  if (op->prev_ != nullptr) {
+    op->prev_->next_ = op->next_;
+  } else {
+    fifo.head = op->next_;
+  }
+  if (op->next_ != nullptr) {
+    op->next_->prev_ = op->prev_;
+  } else {
+    fifo.tail = op->prev_;
+  }
+  op->prev_ = nullptr;
+  op->next_ = nullptr;
+  op->fifo_ = -1;
+  if (--linked_ops_ == 0 && sweep_timer_ != 0) {
+    // Nothing left to expire: an idle runtime keeps no timer on the wheel.
+    cluster_->fabric().reactor().Cancel(sweep_timer_);  // may have fired
+    sweep_timer_ = 0;
+  }
+  // A head that leaves early needs no re-arm: the sweep fires at its old
+  // deadline, finds nothing due, and re-arms at the new earliest head.
+  return std::move(op->pin_);
+}
+
+void SkadiRuntime::ArmSweepLocked(int64_t deadline) {
+  Reactor& reactor = cluster_->fabric().reactor();
+  const int64_t delay = std::max<int64_t>(deadline - NowNanos(), 0);
+  if (sweep_timer_ != 0) {
+    // Rearm fails when the timer already fired; that sweep is about to run
+    // and re-arms from the current heads itself.
+    if (deadline < sweep_at_ && reactor.Rearm(sweep_timer_, delay)) {
+      sweep_at_ = deadline;
+    }
+    return;
+  }
+  const uint64_t gen = ++sweep_gen_;
+  std::weak_ptr<SweepGate> gate = sweep_gate_;
+  sweep_timer_ = reactor.ScheduleAfter(delay, [gate, gen] {
+    std::shared_ptr<SweepGate> live = gate.lock();
+    if (live != nullptr) {
+      live->self->SweepDeadlines(gen);
+    }
+  });
+  // A stopped reactor returns 0: no sweep, but Step's inline deadline check
+  // plus the caller's bounded BlockOn still guarantee termination.
+  sweep_at_ = deadline;
+}
+
+void SkadiRuntime::SweepDeadlines(uint64_t gen) {
+  std::vector<std::shared_ptr<GetOp>> expired;
+  {
+    MutexLock lock(ops_mu_);
+    if (gen != sweep_gen_ || sweep_timer_ == 0) {
+      return;  // cancelled, or superseded by a later arming
+    }
+    sweep_timer_ = 0;
+    const int64_t now = NowNanos();
+    int64_t earliest = std::numeric_limits<int64_t>::max();
+    for (DeadlineFifo& fifo : deadline_fifos_) {
+      while (fifo.head != nullptr && fifo.head->deadline_nanos_ <= now) {
+        expired.push_back(UnlinkLocked(fifo.head));
+      }
+      if (fifo.head != nullptr) {
+        earliest = std::min(earliest, fifo.head->deadline_nanos_);
+      }
+    }
+    if (earliest != std::numeric_limits<int64_t>::max()) {
+      ArmSweepLocked(earliest);
+    }
+  }
+  for (auto& op : expired) {
+    op->OnDeadline();
+  }
 }
 
 Raylet* SkadiRuntime::raylet(NodeId node) {
@@ -347,6 +469,13 @@ int SkadiRuntime::ControlMessage(NodeId from, NodeId to, int64_t payload_bytes) 
   if (from == to) {
     return 0;  // in-process: free, uncounted
   }
+  // The fabric charges only the payload's size and "ctrl" ignores its bytes,
+  // so a payload up to 4 KiB wraps one static zero array. Static storage
+  // needs no owner, so no thread touches a shared refcount.
+  static constexpr uint8_t kZeros[4096] = {};
+  const auto size = static_cast<size_t>(payload_bytes);
+  const Buffer payload =
+      size <= sizeof(kZeros) ? Buffer::Wrap(nullptr, kZeros, size) : Buffer::Zeros(size);
   int hops = 0;
   auto hop = [&](NodeId src, NodeId dst) {
     if (src == dst) {
@@ -354,8 +483,7 @@ int SkadiRuntime::ControlMessage(NodeId from, NodeId to, int64_t payload_bytes) 
     }
     // "ctrl" is a registered no-op; the fabric charges latency + payload and
     // counts the message. Ignore NotFound against just-killed nodes.
-    (void)cluster_->fabric().Call(src, dst, "ctrl",
-                                  Buffer::Zeros(static_cast<size_t>(payload_bytes)));
+    (void)cluster_->fabric().Call(src, dst, "ctrl", payload);
     control_hops_->Increment();
     ++hops;
   };
@@ -554,7 +682,7 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
       });
   op->task_ = spec.id;
   op->Start();
-  // Belt-and-suspenders bound: GetOp's deadline timer fires first in every
+  // Belt-and-suspenders bound: the deadline sweep fires first in every
   // non-shutdown schedule; the slack covers a stopped reactor.
   cluster_->fabric().reactor().BlockOn(
       *ev, NowNanos() + (timeout_ms + 100) * 1'000'000);

@@ -131,9 +131,10 @@ class SkadiRuntime {
 
   int64_t control_hops() const;
 
-  // Stops the autoscaler, drains all raylets, cancels outstanding
-  // future-resolution ops, and drains the fabric reactor so no continuation
-  // left behind by an abandoned bounded wait touches freed runtime state.
+  // Stops the autoscaler, drains all raylets, completes every outstanding
+  // future-resolution op with kUnavailable, and drains the fabric reactor so
+  // no continuation left behind by an abandoned bounded wait touches freed
+  // runtime state. A GetAsync after Shutdown completes with kUnavailable.
   void Shutdown();
 
  private:
@@ -164,11 +165,22 @@ class SkadiRuntime {
   // Recovery helpers.
   void RecoverLostObjects(const std::vector<ObjectId>& lost);
 
-  // Live-op registry: every GetOp registers at Start and deregisters at
-  // Finish, so Shutdown can cancel the stragglers a caller abandoned (a
-  // bounded BlockOn that timed out, or a GetAsync never waited on).
-  void RegisterOp(const std::shared_ptr<GetOp>& op);
-  void DeregisterOp(GetOp* op);
+  // Deadline queue (DESIGN.md §11): every pending GetOp is linked into the
+  // FIFO of its timeout value, so FIFO order is deadline order and one
+  // fabric-reactor timer, armed at the earliest head deadline, expires them
+  // all. The queue is also the live-op registry Shutdown completes.
+  //
+  // LinkOp stamps the op's deadline and links it; false after Shutdown.
+  bool LinkOp(const std::shared_ptr<GetOp>& op) EXCLUDES(ops_mu_);
+  // Unlinks `op` in O(1) and returns the queue's reference to it (null when
+  // it was not linked), for the caller to drop after the unlock.
+  std::shared_ptr<GetOp> UnlinkOp(GetOp* op) EXCLUDES(ops_mu_);
+  std::shared_ptr<GetOp> UnlinkLocked(GetOp* op) REQUIRES(ops_mu_);
+  // Arms the sweep timer at `deadline`, or pulls an armed one forward.
+  void ArmSweepLocked(int64_t deadline) REQUIRES(ops_mu_);
+  // The sweep timer body: expires the due head ops, re-arms at the earliest
+  // remaining head. `gen` identifies the arming; a superseded sweep returns.
+  void SweepDeadlines(uint64_t gen) EXCLUDES(ops_mu_);
 
   Cluster* cluster_;
   FunctionRegistry* registry_;
@@ -182,8 +194,31 @@ class SkadiRuntime {
   std::unordered_map<NodeId, std::unique_ptr<Raylet>> raylets_;
   std::unordered_map<NodeId, std::unique_ptr<OwnershipTable>> ownership_;
 
+  // One FIFO of linked GetOps per timeout value in use. An emptied FIFO is
+  // reused for the next timeout value, so the vector stops growing at the
+  // number of distinct timeouts pending at once.
+  struct DeadlineFifo {
+    int64_t timeout_ms = 0;
+    GetOp* head = nullptr;
+    GetOp* tail = nullptr;
+  };
+  // Terminal except for arming/cancelling the sweep timer (Reactor::mu_).
   mutable Mutex ops_mu_;
-  std::unordered_map<GetOp*, std::weak_ptr<GetOp>> live_ops_ GUARDED_BY(ops_mu_);
+  std::vector<DeadlineFifo> deadline_fifos_ GUARDED_BY(ops_mu_);
+  size_t linked_ops_ GUARDED_BY(ops_mu_) = 0;
+  bool shut_down_ GUARDED_BY(ops_mu_) = false;
+  // The armed sweep timer (0 = none), its deadline, and its arming number.
+  TimerId sweep_timer_ GUARDED_BY(ops_mu_) = 0;
+  int64_t sweep_at_ GUARDED_BY(ops_mu_) = 0;
+  uint64_t sweep_gen_ GUARDED_BY(ops_mu_) = 0;
+  // Liveness gate for the sweep continuation (DESIGN.md §14): the runtime
+  // does not own the fabric reactor, so the timer holds only a weak_ptr and
+  // Shutdown revokes the gate, waiting out a sweep already running.
+  struct SweepGate {
+    SkadiRuntime* self;
+  };
+  std::shared_ptr<SweepGate> sweep_gate_ GUARDED_BY(ops_mu_) =
+      std::make_shared<SweepGate>(SweepGate{this});
 
   // Lineage of one task: its shared spec and how many of its returns are
   // still live. Release drops the entry with the last return; a released

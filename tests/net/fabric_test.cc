@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+
 namespace skadi {
 namespace {
 
@@ -123,6 +127,46 @@ TEST_F(FabricTest, VirtualClockAccumulatesPerCall) {
   int64_t t1 = fabric_->clock().total_nanos();
   // At least two intra-rack latencies charged.
   EXPECT_GE(t1 - t0, 2 * DefaultLinkParams(LinkClass::kIntraRack).latency_ns);
+}
+
+
+TEST_F(FabricTest, HandlersStayReachableWhileTableGrows) {
+  // Calls find handlers without Fabric::mu_ while registrations replace the
+  // table with larger ones; every handler stays reachable throughout.
+  ASSERT_TRUE(fabric_->RegisterHandler(b_, "svc0", [](const Buffer&) -> Result<Buffer> {
+    return Buffer::FromString("b0");
+  }).ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto reply = fabric_->Call(a_, b_, "svc0", Buffer());
+      if (!reply.ok() || reply->AsStringView() != "b0") {
+        bad.fetch_add(1);
+      }
+    }
+  });
+  constexpr int kServices = 100;
+  for (NodeId node : {a_, b_, c_}) {
+    for (int i = 1; i < kServices; ++i) {
+      const std::string reply = node.ToString() + "/" + std::to_string(i);
+      ASSERT_TRUE(fabric_->RegisterHandler(node, "svc" + std::to_string(i),
+                                           [reply](const Buffer&) -> Result<Buffer> {
+                                             return Buffer::FromString(reply);
+                                           }).ok());
+    }
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(bad.load(), 0);
+  for (NodeId node : {a_, b_, c_}) {
+    for (int i = 1; i < kServices; ++i) {
+      auto reply = fabric_->Call(a_, node, "svc" + std::to_string(i), Buffer());
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply->AsStringView(), node.ToString() + "/" + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(fabric_->Call(a_, a_, "svc0", Buffer()).status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "tests/runtime/runtime_test_util.h"
 
 namespace skadi {
@@ -651,6 +656,121 @@ TEST_F(RuntimeTest, InFlightTasksFailOverToSurvivors) {
     }
   }
   SUCCEED();
+}
+
+
+// --- Get deadlines and Shutdown (the runtime's deadline queue) ---
+
+constexpr int64_t kMs = 1'000'000;
+
+// A pending object no task will ever produce.
+ObjectRef NeverReady(SkadiRuntime& runtime) {
+  ObjectId id = ObjectId::Next();
+  SKADI_CHECK(runtime.ownership(runtime.head()).RegisterObject(id, TaskId()).ok());
+  return ObjectRef{id, runtime.head()};
+}
+
+// Records how and when one GetAsync completed, and how often.
+struct Completion {
+  std::atomic<int> calls{0};
+  std::atomic<int64_t> at_nanos{0};
+  Result<Buffer> result = Status::Internal("never completed");
+  Event done;
+};
+
+std::function<void(Result<Buffer>)> RecordInto(const std::shared_ptr<Completion>& c) {
+  return [c](Result<Buffer> r) {
+    c->at_nanos.store(NowNanos());
+    if (c->calls.fetch_add(1) == 0) {
+      c->result = std::move(r);
+    }
+    c->done.Set();
+  };
+}
+
+TEST_F(RuntimeTest, GetOnNeverReadyFutureExpiresAtItsDeadline) {
+  Build();
+  ObjectRef ref = NeverReady(*runtime_);
+  auto c = std::make_shared<Completion>();
+  const int64_t start = NowNanos();
+  runtime_->GetAsync(ref, RecordInto(c), /*timeout_ms=*/50);
+  ASSERT_TRUE(c->done.BlockingWait(NowNanos() + 5000 * kMs));
+  EXPECT_EQ(c->result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(c->result.status().message(), "Get(" + ref.ToString() + ") timed out");
+  EXPECT_GE(c->at_nanos.load() - start, 50 * kMs);
+  EXPECT_LE(c->at_nanos.load() - start, 70 * kMs);
+
+  // The blocking form reports the same error.
+  auto blocking = runtime_->Get(ref, /*timeout_ms=*/20);
+  EXPECT_EQ(blocking.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(RuntimeTest, ShortGetAfterLongGetExpiresAtItsOwnDeadline) {
+  Build();
+  auto slow = std::make_shared<Completion>();
+  auto fast = std::make_shared<Completion>();
+  runtime_->GetAsync(NeverReady(*runtime_), RecordInto(slow), /*timeout_ms=*/10'000);
+  const int64_t start = NowNanos();
+  runtime_->GetAsync(NeverReady(*runtime_), RecordInto(fast), /*timeout_ms=*/50);
+  ASSERT_TRUE(fast->done.BlockingWait(NowNanos() + 5000 * kMs));
+  EXPECT_EQ(fast->result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(fast->at_nanos.load() - start, 50 * kMs);
+  EXPECT_LE(fast->at_nanos.load() - start, 70 * kMs);
+  EXPECT_EQ(slow->calls.load(), 0);
+}
+
+TEST_F(RuntimeTest, ShutdownCompletesEachAbandonedGetOnceWithUnavailable) {
+  Build();
+  std::vector<std::shared_ptr<Completion>> gets;
+  for (int i = 0; i < 8; ++i) {
+    gets.push_back(std::make_shared<Completion>());
+    // Two timeout values, so Shutdown walks more than one FIFO.
+    runtime_->GetAsync(NeverReady(*runtime_), RecordInto(gets.back()),
+                       i % 2 == 0 ? 10'000 : 20'000);
+  }
+  runtime_->Shutdown();
+  runtime_.reset();  // runs Shutdown again
+  for (const auto& c : gets) {
+    EXPECT_EQ(c->calls.load(), 1);
+    EXPECT_EQ(c->result.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(c->result.status().message(), "runtime shutting down");
+  }
+}
+
+TEST_F(RuntimeTest, GetAsyncAfterShutdownFailsFast) {
+  Build();
+  auto ref = runtime_->Put(Buffer::FromString("stored"));
+  ASSERT_TRUE(ref.ok());
+  runtime_->Shutdown();
+  auto c = std::make_shared<Completion>();
+  runtime_->GetAsync(*ref, RecordInto(c));
+  EXPECT_EQ(c->calls.load(), 1);  // inline, before GetAsync returns
+  EXPECT_EQ(c->result.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(RuntimeTest, OutstandingGetsShareOneDeadlineTimer) {
+  Build();
+  Reactor& reactor = cluster_->fabric().reactor();
+  const size_t baseline = reactor.pending_timers();
+  constexpr int kGets = 1000;
+  std::vector<ObjectRef> refs;
+  auto remaining = std::make_shared<std::atomic<int>>(kGets);
+  auto all_done = std::make_shared<Event>();
+  for (int i = 0; i < kGets; ++i) {
+    refs.push_back(NeverReady(*runtime_));
+    runtime_->GetAsync(refs.back(), [remaining, all_done](Result<Buffer>) {
+      if (remaining->fetch_sub(1) == 1) {
+        all_done->Set();
+      }
+    });
+  }
+  EXPECT_EQ(reactor.pending_timers(), baseline + 1);
+  // Releasing a pending object wakes its watcher, which completes the Get.
+  for (const ObjectRef& ref : refs) {
+    ASSERT_TRUE(runtime_->Release(ref).ok());
+  }
+  ASSERT_TRUE(all_done->BlockingWait(NowNanos() + 10'000 * kMs));
+  EXPECT_EQ(reactor.pending_timers(), baseline);
 }
 
 }  // namespace

@@ -173,7 +173,8 @@ def collect_reactor(raw, repetitions):
     want_agg = "mean" if repetitions > 1 else None
     results = []
     for entry in raw.get("benchmarks", []):
-        m = re.match(r"(BM_\w+)/(\d+)(?:/iterations:\d+)?(?:_(\w+))?$", entry["name"])
+        m = re.match(r"(BM_\w+)/(\d+)(?:/iterations:\d+)?(?:/real_time)?(?:_(\w+))?$",
+                     entry["name"])
         if not m or m.group(3) != want_agg:
             continue
         row = {
