@@ -77,7 +77,9 @@ class VirtualClock {
         // spin
       }
     } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
+      // Sleeping on the worker that runs the task is the point: the modelled
+      // compute time shows up as that task's wall time.
+      std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));  // lint:allow raw-thread (realizes modelled time)
     }
   }
 

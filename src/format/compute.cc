@@ -16,7 +16,7 @@
 #include <unordered_map>
 
 #include "src/common/hash.h"
-#include "src/common/morsel_pool.h"
+#include "src/format/morsel_pool.h"
 #include "src/format/row_hash.h"
 
 namespace skadi {

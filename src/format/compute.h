@@ -7,7 +7,7 @@
 // arrays with validity handled outside the loop, and keyed kernels hash raw
 // values directly (src/format/row_hash.h) instead of materializing a string
 // key per row. Passing ComputeOptions{num_threads > 1} additionally engages
-// morsel-driven intra-kernel parallelism (src/common/morsel_pool.h): the row
+// morsel-driven intra-kernel parallelism (src/format/morsel_pool.h): the row
 // range is split into morsels, workers keep thread-local partial state, and
 // partials are merged deterministically.
 //

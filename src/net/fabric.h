@@ -48,8 +48,9 @@ class Fabric {
 
   // The cluster's control-plane event loop: ownership-readiness
   // continuations, single-flight completions, Get timeouts, and modelled
-  // fabric delays all resolve here instead of parking OS threads. One driver
-  // thread is started at construction; Grow/Shrink adjust it.
+  // fabric delays all resolve here instead of parking OS threads, and the
+  // runtime's autoscaler ticks on its timer wheel. One driver thread is
+  // started at construction; Start/Shrink adjust it.
   Reactor& reactor() { return reactor_; }
 
   // Fraction of modelled time realized as actual delay (see VirtualClock).

@@ -104,9 +104,8 @@ class Reactor {
 
   // --- driver threads ---
 
-  // Spawns `n` driver threads running Run().
+  // Spawns `n` more driver threads running Run().
   void Start(size_t n);
-  void Grow(size_t n) { Start(n); }
   // Asks `n` drivers to retire after their current item (never below one
   // running driver). Retired threads are joined at Shutdown; num_threads()
   // reflects the logical size immediately.
@@ -120,8 +119,7 @@ class Reactor {
 
   // Runs exactly one continuation (posted or due timer), blocking while the
   // reactor is idle. Returns false once the reactor is shut down and the
-  // ready-queue is drained. This is the worker-dequeue primitive (the role
-  // BlockingQueue::Pop played in the thread-per-task raylet).
+  // ready-queue is drained. This is the worker-dequeue primitive.
   bool RunOne();
 
   // Non-blocking: runs everything currently ready or due, returns the count.

@@ -123,6 +123,7 @@ Result<std::vector<ConsumerRegistration>> OwnershipTable::MarkReady(
     }
     OwnershipRecord& record = it->second;
     record.state = ObjectState::kReady;
+    record.failure = Status::Ok();
     record.locations.insert(location);
     record.size_bytes = size_bytes;
     record.device = device;
@@ -171,7 +172,7 @@ std::vector<ObjectId> OwnershipTable::OnNodeFailure(NodeId node) {
   return lost;
 }
 
-Status OwnershipTable::MarkLost(ObjectId id) {
+Status OwnershipTable::MarkLost(ObjectId id, Status failure) {
   std::vector<Continuation> watchers;
   Shard& s = shard(id);
   {
@@ -182,6 +183,7 @@ Status OwnershipTable::MarkLost(ObjectId id) {
     }
     it->second.state = ObjectState::kLost;
     it->second.locations.clear();
+    it->second.failure = std::move(failure);
     watchers = TakeWatchersLocked(s, id);
   }
   FireWatchers(std::move(watchers));
@@ -201,6 +203,7 @@ Status OwnershipTable::MarkPendingForReconstruction(ObjectId id, TaskId new_task
   }
   it->second.state = ObjectState::kPending;
   it->second.produced_by = new_task;
+  it->second.failure = Status::Ok();
   return Status::Ok();
 }
 
@@ -245,6 +248,9 @@ Result<ObjectState> OwnershipTable::StateOrWatch(ObjectId id,
   auto it = s.records.find(id);
   if (it == s.records.end()) {
     return Status::NotFound("object " + id.ToString() + " was released while waiting");
+  }
+  if (it->second.state == ObjectState::kLost && !it->second.failure.ok()) {
+    return it->second.failure;
   }
   if (it->second.state == ObjectState::kPending) {
     s.watchers[id].push_back(std::move(watcher));

@@ -68,6 +68,9 @@ struct OwnershipRecord {
   int64_t ref_count = 1;
   // Consumers to push the value to when it becomes ready.
   std::vector<ConsumerRegistration> pending_consumers;
+  // Why a kLost object will never be produced (MarkLost); Ok when it was
+  // lost with its copies and lineage may still re-produce it.
+  Status failure;
 };
 
 class OwnershipTable {
@@ -109,8 +112,12 @@ class OwnershipTable {
   // the shards one at a time (no global lock).
   std::vector<ObjectId> OnNodeFailure(NodeId node);
 
-  // Explicitly marks an object lost (e.g. the producing task aborted).
-  Status MarkLost(ObjectId id);
+  // Explicitly marks an object lost. A non-Ok `failure` says it is lost for
+  // good (its producing task failed terminally): StateOrWatch, and so
+  // WaitReady, then returns `failure` instead of kLost, so waiters complete
+  // with the task's status rather than retrying recovery. MarkReady and
+  // MarkPendingForReconstruction clear it.
+  Status MarkLost(ObjectId id, Status failure = Status::Ok());
 
   // Re-arms a lost record as pending for lineage re-execution.
   Status MarkPendingForReconstruction(ObjectId id, TaskId new_task);
@@ -130,13 +137,13 @@ class OwnershipTable {
   };
   Result<ResolveReply> Resolve(ObjectId id) const;
 
-  // Non-blocking probe + watch: returns the current state, and — only when
-  // that state is kPending — registers `watcher` to fire once the object
-  // next leaves kPending (ready, lost, or released; re-probe to learn
-  // which). For any other state the watcher is dropped unrun. Watchers fire
-  // at most once, on the wiring reactor if set, else inline on the thread
-  // that flipped the state. This is the continuation-based replacement for
-  // parking a thread in WaitReady.
+  // Non-blocking probe + watch: returns the current state (or the failure
+  // status recorded by MarkLost), and — only when that state is kPending —
+  // registers `watcher` to fire once the object next leaves kPending (ready,
+  // lost, or released; re-probe to learn which). For any other state the
+  // watcher is dropped unrun. Watchers fire at most once, on the wiring
+  // reactor if set, else inline on the thread that flipped the state. This
+  // is the continuation-based replacement for parking a thread in WaitReady.
   Result<ObjectState> StateOrWatch(ObjectId id, Continuation watcher) const;
 
   // Blocks until the object leaves kPending (ready or lost). Returns the

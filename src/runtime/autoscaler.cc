@@ -1,40 +1,71 @@
 #include "src/runtime/autoscaler.h"
 
-#include <chrono>
+#include <algorithm>
+#include <thread>
 
 #include "src/common/metric_names.h"
 
 namespace skadi {
 
-Autoscaler::Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics)
+Autoscaler::Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics,
+                       Reactor* reactor)
     : options_(options),
+      reactor_(reactor),
       scale_ups_ctr_(&metrics->GetCounter(names::kAutoscalerScaleUps)),
       scale_downs_ctr_(&metrics->GetCounter(names::kAutoscalerScaleDowns)) {}
 
 void Autoscaler::Start() {
-  if (!options_.enabled || running_.exchange(true)) {
+  MutexLock lock(mu_);
+  if (!options_.enabled || gate_ != nullptr) {
     return;
   }
-  thread_ = std::thread([this] {
-    while (running_.load()) {
-      Tick();
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.tick_interval_ms));
+  gate_ = std::make_shared<TickGate>(TickGate{this});
+  last_tick_nanos_ = NowNanos();
+  ArmLocked(last_tick_nanos_);  // the first tick runs at once
+}
+
+void Autoscaler::Stop() {
+  std::weak_ptr<TickGate> gone;
+  {
+    MutexLock lock(mu_);
+    if (gate_ == nullptr) {
+      return;
+    }
+    reactor_->Cancel(timer_);  // may have fired
+    timer_ = 0;
+    gone = gate_;
+    gate_.reset();
+  }
+  // A tick that fired before the Cancel holds the gate until it returns;
+  // it finds gate_ reset under mu_ and does nothing.
+  while (!gone.expired()) {
+    std::this_thread::yield();
+  }
+}
+
+void Autoscaler::ArmLocked(int64_t deadline_nanos) {
+  next_tick_nanos_ = deadline_nanos;
+  std::weak_ptr<TickGate> gate = gate_;
+  // A stopped reactor returns 0: no further ticks, and Stop's Cancel(0) is
+  // a no-op.
+  timer_ = reactor_->ScheduleAfter(deadline_nanos - NowNanos(), [gate] {
+    std::shared_ptr<TickGate> live = gate.lock();
+    if (live != nullptr) {
+      live->self->Tick();
     }
   });
 }
 
-void Autoscaler::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
 void Autoscaler::Tick() {
   MutexLock lock(mu_);
-  const int64_t tick_nanos = static_cast<int64_t>(options_.tick_interval_ms) * 1000000;
+  if (gate_ == nullptr) {
+    return;  // stopped after this tick fired
+  }
+  // A wheel timer fires on the first reactor tick at or after its deadline,
+  // so real intervals vary around the nominal one: integrate what elapsed.
+  const int64_t now = NowNanos();
+  const int64_t elapsed_nanos = now - last_tick_nanos_;
+  last_tick_nanos_ = now;
   for (TrackedRaylet& tracked : tracked_) {
     Raylet* raylet = tracked.raylet;
     if (raylet->dead()) {
@@ -42,7 +73,7 @@ void Autoscaler::Tick() {
     }
     size_t workers = raylet->num_workers();
     size_t queued = raylet->queue_depth();
-    worker_nanos_.fetch_add(static_cast<int64_t>(workers) * tick_nanos);
+    worker_nanos_.fetch_add(static_cast<int64_t>(workers) * elapsed_nanos);
 
     if (queued > 0 &&
         static_cast<double>(queued) >
@@ -73,6 +104,11 @@ void Autoscaler::Tick() {
       tracked.idle_ticks = 0;
     }
   }
+  // A tick that ran more than an interval late does not fire a catch-up
+  // burst.
+  ArmLocked(std::max(next_tick_nanos_ +
+                         static_cast<int64_t>(options_.tick_interval_ms) * 1'000'000,
+                     now));
 }
 
 }  // namespace skadi

@@ -1,17 +1,19 @@
 // Worker autoscaler: the pay-as-you-go half of the serverless principle.
-// Periodically samples each raylet's queue depth and grows/shrinks its
-// worker pool within [min, max]; integrates worker-time so experiments can
-// report the cost side (worker-seconds) next to the latency side.
+// A self-re-arming timer on a reactor the autoscaler does not own (the
+// runtime passes the fabric reactor) samples each raylet's queue depth and
+// grows/shrinks its worker pool within [min, max]; integrates worker-time so
+// experiments can report the cost side (worker-seconds) next to the latency
+// side.
 #ifndef SRC_RUNTIME_AUTOSCALER_H_
 #define SRC_RUNTIME_AUTOSCALER_H_
 
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
+#include "src/net/reactor.h"
 #include "src/runtime/raylet.h"
 
 namespace skadi {
@@ -29,7 +31,8 @@ struct AutoscalerOptions {
 
 class Autoscaler {
  public:
-  Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics);
+  // Ticks run on `reactor`, which must outlive the autoscaler.
+  Autoscaler(AutoscalerOptions options, MetricsRegistry* metrics, Reactor* reactor);
 
   ~Autoscaler() { Stop(); }
 
@@ -38,12 +41,16 @@ class Autoscaler {
     tracked_.push_back(TrackedRaylet{raylet, 0});
   }
 
+  // Arms the first tick; a no-op when disabled or already started.
   void Start();
+  // Cancels the armed tick and waits out one that is already running, so no
+  // Tick runs after Stop returns. Idempotent; Start may follow.
   void Stop();
 
   int64_t scale_ups() const { return scale_ups_.load(); }
   int64_t scale_downs() const { return scale_downs_.load(); }
-  // Integrated worker occupancy: sum over ticks of (workers * tick length).
+  // Integrated worker occupancy: sum over ticks of (workers * measured time
+  // since the previous tick).
   int64_t worker_nanos() const { return worker_nanos_.load(); }
 
  private:
@@ -51,19 +58,32 @@ class Autoscaler {
     Raylet* raylet;
     int idle_ticks;
   };
+  // The armed tick holds only a weak_ptr to this (DESIGN.md §14).
+  struct TickGate {
+    Autoscaler* self;
+  };
 
   void Tick();
+  // Arms the next tick for `deadline_nanos` (NowNanos time).
+  void ArmLocked(int64_t deadline_nanos) REQUIRES(mu_);
 
   AutoscalerOptions options_;
+  Reactor* reactor_;
   // Metric handles, resolved once at construction.
   Counter* scale_ups_ctr_;
   Counter* scale_downs_ctr_;
 
   Mutex mu_;
   std::vector<TrackedRaylet> tracked_ GUARDED_BY(mu_);
+  // Non-null while started; Stop revokes it.
+  std::shared_ptr<TickGate> gate_ GUARDED_BY(mu_);
+  TimerId timer_ GUARDED_BY(mu_) = 0;
+  // Deadline of the armed tick. Each tick is due one interval after the
+  // previous deadline, not after the previous tick ran, so the wheel's
+  // round-up to its next 1 ms tick does not lengthen every interval.
+  int64_t next_tick_nanos_ GUARDED_BY(mu_) = 0;
+  int64_t last_tick_nanos_ GUARDED_BY(mu_) = 0;
 
-  std::atomic<bool> running_{false};
-  std::thread thread_;
   std::atomic<int64_t> scale_ups_{0};
   std::atomic<int64_t> scale_downs_{0};
   std::atomic<int64_t> worker_nanos_{0};

@@ -80,7 +80,7 @@ class Raylet {
 
   size_t queue_depth() const { return workers_.ready_count(); }
   size_t num_workers() const { return workers_.num_threads(); }
-  void GrowWorkers(size_t n) { workers_.Grow(n); }
+  void GrowWorkers(size_t n) { workers_.Start(n); }
   void ShrinkWorkers(size_t n) { workers_.Shrink(n); }
 
   int64_t tasks_executed() const { return tasks_executed_.load(); }
@@ -107,9 +107,8 @@ class Raylet {
   FunctionRegistry* registry_;
   VirtualClock* clock_;
   Callbacks callbacks_;
-  // Worker pool as a reactor: task readiness is the ready-queue (what used
-  // to be a BlockingQueue::Pop per worker), so the same drivers also run
-  // any continuations posted to this raylet.
+  // Worker pool as a reactor: task readiness is the ready-queue, so the
+  // same drivers also run any continuations posted to this raylet.
   Reactor workers_;
   std::atomic<bool> dead_{false};
   std::atomic<int64_t> tasks_executed_{0};

@@ -76,6 +76,8 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
       Result<ObjectState> state =
           rt_->ownership(ref_.owner).StateOrWatch(ref_.id, [self] { self->Step(); });
       if (!state.ok()) {
+        // Released, or the producer failed terminally (FailTask records its
+        // status on the outputs): complete now, under either recovery mode.
         Finish(state.status());
         return;
       }
@@ -86,6 +88,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
           Fetch();
           return;
         case ObjectState::kLost: {
+          // Lost with its copies (a node failure): lineage may re-produce it.
           if (rt_->options_.recovery == RecoveryMode::kNone) {
             if (mode_ == Mode::kArgResolve) {
               Finish(Status::DataLoss("argument " + ref_.ToString() + " of task " +
@@ -269,7 +272,8 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
     FailTask(spec, status, NodeId());
   });
 
-  autoscaler_ = std::make_unique<Autoscaler>(options_.autoscaler, &metrics());
+  autoscaler_ = std::make_unique<Autoscaler>(options_.autoscaler, &metrics(),
+                                             &cluster_->fabric().reactor());
   for (auto& [id, raylet] : raylets_) {
     raylet->set_runtime(this);
     raylet->set_metrics(&metrics());
@@ -801,11 +805,12 @@ void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId a
     scheduler_->OnTaskAborted(spec, at);
     return;
   }
-  // Non-abort failures are terminal: mark outputs lost so Get unblocks,
-  // and release parked dependents — their argument resolution will fail
-  // fast and propagate the error instead of hanging the job.
+  // Non-abort failures are terminal: record the status on every output, so
+  // a Get or argument resolution on it completes at once with this status
+  // (no lineage retry), and release parked dependents — they fail with the
+  // same status instead of hanging the job.
   for (ObjectId oid : spec.returns) {
-    (void)ownership(spec.owner).MarkLost(oid);  // record may already be released
+    (void)ownership(spec.owner).MarkLost(oid, status);  // record may be released
     scheduler_->OnObjectReady(oid);
   }
   scheduler_->OnTaskFinished(spec.id);

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "tests/runtime/runtime_test_util.h"
@@ -105,13 +109,37 @@ TEST_F(RuntimeTest, UnknownFunctionRejectedAtSubmit) {
   EXPECT_EQ(refs.status().code(), StatusCode::kNotFound);
 }
 
+// A terminally failed task records its status on its outputs: the Get
+// returns that status at once instead of retrying until its timeout.
 TEST_F(RuntimeTest, FailingTaskMarksOutputLost) {
   Build();
   auto refs = runtime_->Submit(Call("fail_always", {}));
   ASSERT_TRUE(refs.ok());
+  Stopwatch watch;
   auto result = runtime_->Get((*refs)[0], 300);
-  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_LT(watch.ElapsedMillis(), 100);
   EXPECT_EQ(runtime_->metrics().GetCounter("runtime.tasks_failed").value(), 1);
+}
+
+// A task whose argument comes from a failed task fails with that task's
+// status, under either recovery mode, without waiting out lost-object
+// retries or the Get timeout.
+TEST_F(RuntimeTest, DependentOfFailedTaskFailsFast) {
+  for (RecoveryMode mode : {RecoveryMode::kLineage, RecoveryMode::kNone}) {
+    RuntimeOptions options;
+    options.recovery = mode;
+    Build(options);
+    auto bad = runtime_->Submit(Call("fail_always", {}));
+    ASSERT_TRUE(bad.ok());
+    auto dependent = runtime_->Submit(Call("inc_i64", {TaskArg::Ref((*bad)[0])}));
+    ASSERT_TRUE(dependent.ok());
+    Stopwatch watch;
+    auto result = runtime_->Get((*dependent)[0], 2000);
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal) << result.status().ToString();
+    EXPECT_LT(watch.ElapsedMillis(), 100);
+    EXPECT_EQ(runtime_->metrics().GetCounter("runtime.tasks_failed").value(), 2);
+  }
 }
 
 TEST_F(RuntimeTest, WaitBlocksForAllRefs) {
@@ -244,8 +272,10 @@ TEST_F(RuntimeTest, GetAllPropagatesFirstFailure) {
   ASSERT_TRUE(good.ok());
   auto bad = runtime_->Submit(Call("fail_always", {}));
   ASSERT_TRUE(bad.ok());
+  Stopwatch watch;
   auto buffers = runtime_->GetAll({(*good)[0], (*bad)[0]}, 2000);
-  EXPECT_FALSE(buffers.ok());
+  EXPECT_EQ(buffers.status().code(), StatusCode::kInternal);
+  EXPECT_LT(watch.ElapsedMillis(), 100);
 }
 
 TEST_F(RuntimeTest, LocalityPolicyPlacesComputeAtData) {
@@ -448,6 +478,74 @@ TEST_F(RuntimeTest, AutoscalerGrowsUnderLoad) {
   ASSERT_TRUE(runtime_->Wait(refs, 30000).ok());
   EXPECT_GT(runtime_->autoscaler().scale_ups(), 0);
   EXPECT_GT(runtime_->autoscaler().worker_nanos(), 0);
+}
+
+// This process's thread count, read until two reads 1 ms apart agree: a
+// thread that was just joined can stay listed for a moment.
+size_t CountProcessThreads() {
+  auto count = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+  };
+  size_t n = count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t again = count();
+    if (again == n) {
+      break;
+    }
+    n = again;
+  }
+  return n;
+}
+
+// Every thread a runtime starts is a reactor driver: the fabric reactor's
+// and each raylet's workers. The autoscaler ticks on the fabric reactor and
+// adds none.
+TEST_F(RuntimeTest, ThreadsPerInstanceAreReactorDrivers) {
+  RuntimeOptions options;
+  options.autoscaler.enabled = true;
+  // Keep every raylet at its default size while the threads are counted.
+  options.autoscaler.min_workers =
+      static_cast<size_t>(DefaultConfig().workers_per_server);
+  runtime_.reset();
+  cluster_.reset();
+  // Sanitizer runtimes start a helper thread along with the first thread a
+  // process creates; make that happen before the count.
+  std::thread([] {}).join();
+  const size_t before = CountProcessThreads();
+  Build(options);
+  const size_t after = CountProcessThreads();
+  size_t drivers = cluster_->fabric().reactor().num_threads();
+  for (const ClusterNode& node : cluster_->nodes()) {
+    if (Raylet* raylet = runtime_->raylet(node.id); raylet != nullptr) {
+      drivers += raylet->num_workers();
+    }
+  }
+  EXPECT_EQ(after - before, drivers);
+}
+
+// Start/Stop races against a 1 ms tick that may be firing: after the last
+// Stop no tick runs and the fabric reactor holds no autoscaler timer.
+TEST_F(RuntimeTest, AutoscalerStartStopLeavesNoTick) {
+  RuntimeOptions options;
+  options.autoscaler.enabled = true;
+  options.autoscaler.tick_interval_ms = 1;
+  Build(options);
+  Autoscaler& autoscaler = runtime_->autoscaler();
+  autoscaler.Stop();
+  Reactor& reactor = cluster_->fabric().reactor();
+  const size_t baseline = reactor.pending_timers();
+  for (int i = 0; i < 200; ++i) {
+    autoscaler.Start();
+    std::this_thread::sleep_for(std::chrono::microseconds(500 * (i % 4)));
+    autoscaler.Stop();
+  }
+  const int64_t worker_nanos = autoscaler.worker_nanos();
+  EXPECT_GT(worker_nanos, 0);  // some ticks ran between Start and Stop
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(autoscaler.worker_nanos(), worker_nanos);
+  EXPECT_EQ(reactor.pending_timers(), baseline);
 }
 
 TEST_F(RuntimeTest, LineageRecoveryReproducesLostObject) {

@@ -45,6 +45,11 @@ run_mode() {
   # queue handoffs are exactly what TSan needs to watch.
   echo "==> [$name] bench_control_plane smoke"
   SKADI_BENCH_SMOKE=1 "$dir/bench/bench_control_plane" > /dev/null
+  # Autoscaler burst: the autoscaler tick runs on the fabric reactor and
+  # grows/shrinks raylet worker reactors while tasks run, under each
+  # sanitizer.
+  echo "==> [$name] bench_a6_control_plane autoscaler smoke"
+  "$dir/bench/bench_a6_control_plane" --benchmark_filter=BM_AutoscalerBurst > /dev/null
   # The trace-plane integration test (part of ctest above) wrote a Perfetto
   # capture of the cross-node Submit->run->Get flow; require it to be one
   # connected span tree with every stage present.

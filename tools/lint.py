@@ -55,6 +55,14 @@ Checks:
                     that instead. Escape hatch:
                     `// lint:allow metric-handle (<reason>)` on the lookup
                     line.
+  raw-thread        std::thread / std::jthread / std::async and
+                    std::this_thread::sleep_for / sleep_until in src/
+                    outside src/net/reactor.{h,cc}. Every thread in src/
+                    is a Reactor driver: post work or arm a ScheduleAfter
+                    timer instead of spawning a thread or sleeping in a
+                    loop. std::thread::hardware_concurrency() (a query that
+                    starts nothing) passes. Escape hatch:
+                    `// lint:allow raw-thread (<reason>)`.
   annotation-reason every analyzer escape hatch must say why: an
                     `// analyze:allow <rule>` needs a non-empty
                     `(<reason>)` and an `// analyze:lifetime` needs a
@@ -108,9 +116,20 @@ RULE_DOCS = {
     "metric-handle": "no Get{Counter,Gauge,Histogram}(...) chained into "
                      ".Increment/.Add/.Record/.Set in src/; resolve the "
                      "handle once at construction",
+    "raw-thread": "no std::thread/jthread/async or this_thread::sleep_for/"
+                  "sleep_until in src/ outside src/net/reactor.{h,cc}",
     "annotation-reason": "analyze:allow needs a non-empty (<reason>); "
                          "analyze:lifetime needs a non-empty reason text",
 }
+
+# The only files in src/ that may start threads: the Reactor owns every driver.
+RAW_THREAD_ALLOWED = {
+    os.path.join("src", "net", "reactor.h"),
+    os.path.join("src", "net", "reactor.cc"),
+}
+RAW_THREAD_RE = re.compile(
+    r"std::(?:thread(?!::hardware_concurrency\b)|jthread|async)\b|"
+    r"std::this_thread::sleep_(?:for|until)\b")
 
 # Data-plane hot path: files where a payload memcpy is a perf regression, not
 # a style nit. Buffer::FromBytes/FromString copy; these files must alias.
@@ -253,6 +272,8 @@ class Linter:
             self.check_metric_names(path, raw, raw_lines)
         if rel.startswith("src" + os.sep):
             self.check_metric_handles(path, raw_lines, stripped)
+            if rel not in RAW_THREAD_ALLOWED:
+                self.check_raw_thread(path, raw_lines, lines)
 
     def check_include_guard(self, path, raw):
         if not (INCLUDE_GUARD_RE.search(raw) or PRAGMA_ONCE_RE.search(raw)):
@@ -288,6 +309,17 @@ class Linter:
                 self.report(path, i, "raw-mutex",
                             f"direct use of {m.group(0)}; use skadi::Mutex / "
                             "MutexLock / CondVar from src/common/mutex.h")
+
+    def check_raw_thread(self, path, raw_lines, lines):
+        for i, line in enumerate(lines, 1):
+            if line_allows(raw_lines[i - 1], "raw-thread"):
+                continue
+            m = RAW_THREAD_RE.search(line)
+            if m:
+                self.report(path, i, "raw-thread",
+                            f"{m.group(0)} outside src/net/reactor.{{h,cc}}; "
+                            "post to a Reactor or arm a ScheduleAfter timer "
+                            "(or annotate `// lint:allow raw-thread (reason)`)")
 
     def check_guarded_by(self, path, raw_lines, lines):
         # Per-mutex: each `Mutex foo_;` member must be referenced by a
