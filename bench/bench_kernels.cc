@@ -12,8 +12,8 @@
 //           implementations with one heap string key per row)
 //   mode 1  vectorized, single thread (ComputeOptions default)
 //   mode 2  vectorized + morsel parallel, 4 threads
-// Counters: rows_per_sec (throughput), key_allocs_avoided (deterministic:
-// per-row key strings the reference would have materialized).
+// Counters: rows_per_sec (wall-clock throughput), key_allocs_avoided
+// (deterministic: per-row key strings the reference would have materialized).
 //
 // SKADI_BENCH_SMOKE=1 shrinks every size to 64k rows and runs one iteration
 // per benchmark — used by tools/check.sh so the sanitizer matrix exercises
@@ -89,6 +89,9 @@ void KernelArgs(benchmark::internal::Benchmark* b, std::initializer_list<int64_t
   }
   b->ArgNames({"rows", "mode"});
   b->Unit(benchmark::kMillisecond);
+  // Mode 2 runs on the morsel pool: rates are per wall-clock second, not per
+  // second of the driver thread's CPU time.
+  b->UseRealTime();
 }
 
 void SetKernelCounters(benchmark::State& state, int64_t rows, int64_t allocs_avoided) {

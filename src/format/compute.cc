@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <set>
 #include <unordered_map>
 
 #include "src/common/hash.h"
@@ -436,8 +437,12 @@ void SelectedIndices(const Column& mask, int64_t begin, int64_t end,
 
 }  // namespace
 
-Result<RecordBatch> FilterBatch(const RecordBatch& batch, const Expr& predicate,
-                                const ComputeOptions& options) {
+namespace {
+
+// Rows of `gather` (a column subset of `batch`) where `predicate`, evaluated
+// over `batch`, is true.
+Result<RecordBatch> FilterRows(const RecordBatch& batch, const RecordBatch& gather,
+                               const Expr& predicate, const ComputeOptions& options) {
   SKADI_ASSIGN_OR_RETURN(Column mask, EvalExpr(predicate, batch));
   if (mask.type() != DataType::kBool) {
     return Status::InvalidArgument("filter predicate must be bool, got " +
@@ -468,9 +473,46 @@ Result<RecordBatch> FilterBatch(const RecordBatch& batch, const Expr& predicate,
     }
   }
   if (static_cast<int64_t>(indices.size()) == batch.num_rows()) {
-    return batch;  // everything selected: no gather needed
+    return gather;  // everything selected: no gather needed
   }
-  return TakeBatch(batch, indices, options);
+  return TakeBatch(gather, indices, options);
+}
+
+}  // namespace
+
+Result<RecordBatch> FilterBatch(const RecordBatch& batch, const Expr& predicate,
+                                const ComputeOptions& options) {
+  return FilterRows(batch, batch, predicate, options);
+}
+
+Result<RecordBatch> FilterProjectBatch(const RecordBatch& batch, const Expr& predicate,
+                                       const std::vector<ProjectionSpec>& projections,
+                                       const ComputeOptions& options) {
+  std::set<std::string> read;
+  for (const ProjectionSpec& p : projections) {
+    if (p.expr != nullptr) {
+      for (std::string& name : p.expr->ReferencedColumns()) {
+        read.insert(std::move(name));
+      }
+    }
+  }
+  std::vector<Field> fields;
+  std::vector<Column> columns;
+  for (size_t i = 0; i < batch.num_columns(); ++i) {
+    if (read.count(batch.schema().field(i).name) > 0) {
+      fields.push_back(batch.schema().field(i));
+      columns.push_back(batch.column(i));
+    }
+  }
+  // With nothing read (constant projections) every column is gathered, so
+  // the row count survives.
+  RecordBatch gather = batch;
+  if (!fields.empty()) {
+    SKADI_ASSIGN_OR_RETURN(gather,
+                           RecordBatch::Make(Schema(std::move(fields)), std::move(columns)));
+  }
+  SKADI_ASSIGN_OR_RETURN(RecordBatch filtered, FilterRows(batch, gather, predicate, options));
+  return ProjectBatch(filtered, projections, options);
 }
 
 Result<RecordBatch> ProjectBatch(const RecordBatch& batch,

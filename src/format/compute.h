@@ -58,6 +58,12 @@ Result<RecordBatch> ProjectBatch(const RecordBatch& batch,
                                  const std::vector<ProjectionSpec>& projections,
                                  const ComputeOptions& options = {});
 
+// ProjectBatch(FilterBatch(batch, predicate), projections), gathering only
+// the columns the projections read.
+Result<RecordBatch> FilterProjectBatch(const RecordBatch& batch, const Expr& predicate,
+                                       const std::vector<ProjectionSpec>& projections,
+                                       const ComputeOptions& options = {});
+
 // Splits rows into `num_partitions` batches by hashing the key columns.
 // Deterministic: same inputs always land in the same partition (shuffle
 // producers and consumers rely on this), independent of options.num_threads.
@@ -111,6 +117,10 @@ RecordBatch LimitBatch(const RecordBatch& batch, int64_t n);
 // including identical hash-partition assignment; used as parity oracles and
 // benchmark baselines. Do not use on hot paths.
 namespace reference {
+
+// Row-at-a-time EvalExpr: literals expand to full columns and every row goes
+// through a null check and a ColumnBuilder append.
+Result<Column> EvalExpr(const Expr& expr, const RecordBatch& batch);
 
 Result<RecordBatch> FilterBatch(const RecordBatch& batch, const Expr& predicate);
 

@@ -1,8 +1,11 @@
 // Row-at-a-time scalar reference kernels: the original implementations,
 // retained verbatim (modulo the shared partition hash) as parity oracles for
-// the vectorized/morsel-parallel kernels in compute.cc and as baselines for
-// bench_kernels. Deliberately naive: one heap-allocated string key per row.
+// the vectorized/morsel-parallel kernels in compute.cc and the typed
+// expression evaluator in expr.cc, and as baselines for bench_kernels.
+// Deliberately naive: one heap-allocated string key per row, one
+// ColumnBuilder append per expression row.
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <unordered_map>
 
@@ -87,10 +90,305 @@ DataType AggOutputType(AggKind kind, DataType input) {
   return DataType::kInt64;
 }
 
+// --- Row-at-a-time expression evaluation ---
+
+bool IsNumeric(DataType t) { return t == DataType::kInt64 || t == DataType::kFloat64; }
+
+bool IsComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool IsArithmetic(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+    case BinaryOp::kMul:
+    case BinaryOp::kDiv:
+    case BinaryOp::kMod:
+      return true;
+    default:
+      return false;
+  }
+}
+
+template <typename T>
+int CompareValues(const T& a, const T& b) {
+  if (a < b) {
+    return -1;
+  }
+  if (b < a) {
+    return 1;
+  }
+  return 0;
+}
+
+bool ComparisonHolds(BinaryOp op, int cmp) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return cmp < 0;
+    case BinaryOp::kLe:
+      return cmp <= 0;
+    case BinaryOp::kGt:
+      return cmp > 0;
+    case BinaryOp::kGe:
+      return cmp >= 0;
+    case BinaryOp::kEq:
+      return cmp == 0;
+    case BinaryOp::kNe:
+      return cmp != 0;
+    default:
+      return false;
+  }
+}
+
+Result<Column> EvalBinary(BinaryOp op, const Column& lhs, const Column& rhs) {
+  const int64_t n = lhs.length();
+  if (rhs.length() != n) {
+    return Status::Internal("operand length mismatch in expression evaluation");
+  }
+
+  auto null_at = [&](int64_t i) { return lhs.IsNull(i) || rhs.IsNull(i); };
+
+  // Logical ops over bools.
+  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+    if (lhs.type() != DataType::kBool || rhs.type() != DataType::kBool) {
+      return Status::InvalidArgument("AND/OR require bool operands");
+    }
+    ColumnBuilder out(DataType::kBool);
+    for (int64_t i = 0; i < n; ++i) {
+      if (null_at(i)) {
+        out.AppendNull();
+        continue;
+      }
+      bool a = lhs.BoolAt(i);
+      bool b = rhs.BoolAt(i);
+      out.AppendBool(op == BinaryOp::kAnd ? (a && b) : (a || b));
+    }
+    return out.Finish();
+  }
+
+  // String comparisons.
+  if (lhs.type() == DataType::kString && rhs.type() == DataType::kString) {
+    if (!IsComparison(op)) {
+      return Status::InvalidArgument("strings support only comparisons, got " +
+                                     std::string(BinaryOpName(op)));
+    }
+    ColumnBuilder out(DataType::kBool);
+    for (int64_t i = 0; i < n; ++i) {
+      if (null_at(i)) {
+        out.AppendNull();
+        continue;
+      }
+      int cmp = lhs.StringAt(i).compare(rhs.StringAt(i));
+      out.AppendBool(ComparisonHolds(op, cmp < 0 ? -1 : (cmp > 0 ? 1 : 0)));
+    }
+    return out.Finish();
+  }
+
+  // Bool equality.
+  if (lhs.type() == DataType::kBool && rhs.type() == DataType::kBool &&
+      (op == BinaryOp::kEq || op == BinaryOp::kNe)) {
+    ColumnBuilder out(DataType::kBool);
+    for (int64_t i = 0; i < n; ++i) {
+      if (null_at(i)) {
+        out.AppendNull();
+        continue;
+      }
+      bool eq = lhs.BoolAt(i) == rhs.BoolAt(i);
+      out.AppendBool(op == BinaryOp::kEq ? eq : !eq);
+    }
+    return out.Finish();
+  }
+
+  // Numeric arithmetic / comparison, with int->float promotion.
+  if (!IsNumeric(lhs.type()) || !IsNumeric(rhs.type())) {
+    return Status::InvalidArgument(
+        "type mismatch: " + std::string(DataTypeName(lhs.type())) + " " +
+        std::string(BinaryOpName(op)) + " " + std::string(DataTypeName(rhs.type())));
+  }
+  const bool as_float =
+      lhs.type() == DataType::kFloat64 || rhs.type() == DataType::kFloat64;
+
+  if (IsComparison(op)) {
+    ColumnBuilder out(DataType::kBool);
+    for (int64_t i = 0; i < n; ++i) {
+      if (null_at(i)) {
+        out.AppendNull();
+        continue;
+      }
+      int cmp;
+      if (as_float) {
+        double a = lhs.type() == DataType::kFloat64 ? lhs.Float64At(i)
+                                                    : static_cast<double>(lhs.Int64At(i));
+        double b = rhs.type() == DataType::kFloat64 ? rhs.Float64At(i)
+                                                    : static_cast<double>(rhs.Int64At(i));
+        cmp = CompareValues(a, b);
+      } else {
+        cmp = CompareValues(lhs.Int64At(i), rhs.Int64At(i));
+      }
+      out.AppendBool(ComparisonHolds(op, cmp));
+    }
+    return out.Finish();
+  }
+
+  if (!IsArithmetic(op)) {
+    return Status::InvalidArgument("unsupported operator for numeric operands");
+  }
+
+  if (as_float) {
+    ColumnBuilder out(DataType::kFloat64);
+    for (int64_t i = 0; i < n; ++i) {
+      if (null_at(i)) {
+        out.AppendNull();
+        continue;
+      }
+      double a = lhs.type() == DataType::kFloat64 ? lhs.Float64At(i)
+                                                  : static_cast<double>(lhs.Int64At(i));
+      double b = rhs.type() == DataType::kFloat64 ? rhs.Float64At(i)
+                                                  : static_cast<double>(rhs.Int64At(i));
+      double r = 0.0;
+      switch (op) {
+        case BinaryOp::kAdd:
+          r = a + b;
+          break;
+        case BinaryOp::kSub:
+          r = a - b;
+          break;
+        case BinaryOp::kMul:
+          r = a * b;
+          break;
+        case BinaryOp::kDiv:
+          if (b == 0.0) {
+            out.AppendNull();
+            continue;
+          }
+          r = a / b;
+          break;
+        case BinaryOp::kMod:
+          if (b == 0.0) {
+            out.AppendNull();
+            continue;
+          }
+          r = std::fmod(a, b);
+          break;
+        default:
+          break;
+      }
+      out.AppendFloat64(r);
+    }
+    return out.Finish();
+  }
+
+  ColumnBuilder out(DataType::kInt64);
+  for (int64_t i = 0; i < n; ++i) {
+    if (null_at(i)) {
+      out.AppendNull();
+      continue;
+    }
+    int64_t a = lhs.Int64At(i);
+    int64_t b = rhs.Int64At(i);
+    int64_t r = 0;
+    switch (op) {
+      case BinaryOp::kAdd:
+        r = a + b;
+        break;
+      case BinaryOp::kSub:
+        r = a - b;
+        break;
+      case BinaryOp::kMul:
+        r = a * b;
+        break;
+      case BinaryOp::kDiv:
+        if (b == 0) {
+          out.AppendNull();
+          continue;
+        }
+        r = a / b;
+        break;
+      case BinaryOp::kMod:
+        if (b == 0) {
+          out.AppendNull();
+          continue;
+        }
+        r = a % b;
+        break;
+      default:
+        break;
+    }
+    out.AppendInt64(r);
+  }
+  return out.Finish();
+}
+
+// Materializes a literal as a constant column of `n` rows.
+Column LiteralColumn(const Expr& e, int64_t n) {
+  switch (e.literal_type()) {
+    case DataType::kInt64:
+      return Column::MakeInt64(std::vector<int64_t>(static_cast<size_t>(n), e.int_value()));
+    case DataType::kFloat64:
+      return Column::MakeFloat64(
+          std::vector<double>(static_cast<size_t>(n), e.double_value()));
+    case DataType::kString: {
+      std::vector<std::string> v(static_cast<size_t>(n), e.string_value());
+      return Column::MakeString(std::move(v));
+    }
+    case DataType::kBool:
+      return Column::MakeBool(
+          std::vector<uint8_t>(static_cast<size_t>(n), e.bool_value() ? 1 : 0));
+  }
+  return Column();
+}
+
 }  // namespace
 
+Result<Column> EvalExpr(const Expr& expr, const RecordBatch& batch) {
+  switch (expr.kind()) {
+    case ExprKind::kColumn: {
+      const Column* col = batch.ColumnByName(expr.column_name());
+      if (col == nullptr) {
+        return Status::NotFound("column '" + expr.column_name() + "' not in schema " +
+                                batch.schema().ToString());
+      }
+      return *col;
+    }
+    case ExprKind::kLiteral:
+      return LiteralColumn(expr, batch.num_rows());
+    case ExprKind::kBinary: {
+      SKADI_ASSIGN_OR_RETURN(Column lhs, reference::EvalExpr(*expr.left(), batch));
+      SKADI_ASSIGN_OR_RETURN(Column rhs, reference::EvalExpr(*expr.right(), batch));
+      return EvalBinary(expr.op(), lhs, rhs);
+    }
+    case ExprKind::kNot: {
+      SKADI_ASSIGN_OR_RETURN(Column operand, reference::EvalExpr(*expr.left(), batch));
+      if (operand.type() != DataType::kBool) {
+        return Status::InvalidArgument("NOT requires a bool operand");
+      }
+      ColumnBuilder out(DataType::kBool);
+      for (int64_t i = 0; i < operand.length(); ++i) {
+        if (operand.IsNull(i)) {
+          out.AppendNull();
+        } else {
+          out.AppendBool(!operand.BoolAt(i));
+        }
+      }
+      return out.Finish();
+    }
+  }
+  return Status::Internal("unreachable expression kind");
+}
+
 Result<RecordBatch> FilterBatch(const RecordBatch& batch, const Expr& predicate) {
-  SKADI_ASSIGN_OR_RETURN(Column mask, EvalExpr(predicate, batch));
+  SKADI_ASSIGN_OR_RETURN(Column mask, reference::EvalExpr(predicate, batch));
   if (mask.type() != DataType::kBool) {
     return Status::InvalidArgument("filter predicate must be bool, got " +
                                    std::string(DataTypeName(mask.type())));

@@ -164,250 +164,289 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-bool IsArithmetic(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd:
-    case BinaryOp::kSub:
-    case BinaryOp::kMul:
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod:
-      return true;
-    default:
-      return false;
-  }
-}
+// An evaluated operand: a column, or a literal (or constant subexpression)
+// kept as one scalar value.
+struct Value {
+  DataType type = DataType::kInt64;
+  bool is_scalar = false;
+  Column column;
+  int64_t i = 0;
+  double f = 0.0;
+  bool b = false;
+  std::string_view s;  // aliases the literal's Expr node
 
+  const uint8_t* validity() const {
+    return !is_scalar && column.has_nulls() ? column.validity().data() : nullptr;
+  }
+};
+
+// Per-row readers the typed loops are instantiated over; a scalar reader
+// returns its one value for every row.
 template <typename T>
-int CompareValues(const T& a, const T& b) {
-  if (a < b) {
-    return -1;
+struct ScalarIn {
+  T v;
+  T operator[](int64_t) const { return v; }
+};
+template <typename T>
+struct ArrayIn {
+  const T* p;
+  T operator[](int64_t i) const { return p[i]; }
+};
+struct IntAsFloatIn {
+  const int64_t* p;
+  double operator[](int64_t i) const { return static_cast<double>(p[i]); }
+};
+struct BoolIn {
+  const uint8_t* p;
+  bool operator[](int64_t i) const { return p[i] != 0; }
+};
+struct StringIn {
+  const Column* c;
+  std::string_view operator[](int64_t i) const { return c->StringAt(i); }
+};
+
+// Each Read* calls fn with a reader of `v`: ReadFloat promotes int64.
+template <typename Fn>
+Column ReadFloat(const Value& v, Fn&& fn) {
+  if (v.is_scalar) {
+    return fn(ScalarIn<double>{v.type == DataType::kFloat64 ? v.f : static_cast<double>(v.i)});
   }
-  if (b < a) {
-    return 1;
+  if (v.type == DataType::kFloat64) {
+    return fn(ArrayIn<double>{v.column.doubles().data()});
   }
-  return 0;
+  return fn(IntAsFloatIn{v.column.ints().data()});
 }
 
-bool ComparisonHolds(BinaryOp op, int cmp) {
+template <typename Fn>
+Column ReadInt(const Value& v, Fn&& fn) {
+  if (v.is_scalar) {
+    return fn(ScalarIn<int64_t>{v.i});
+  }
+  return fn(ArrayIn<int64_t>{v.column.ints().data()});
+}
+
+template <typename Fn>
+Column ReadBool(const Value& v, Fn&& fn) {
+  if (v.is_scalar) {
+    return fn(ScalarIn<bool>{v.b});
+  }
+  return fn(BoolIn{v.column.bools().data()});
+}
+
+template <typename Fn>
+Column ReadString(const Value& v, Fn&& fn) {
+  if (v.is_scalar) {
+    return fn(ScalarIn<std::string_view>{v.s});
+  }
+  return fn(StringIn{&v.column});
+}
+
+// Valid where both operands are, merged once per column; empty (no bitmap)
+// when neither operand has nulls.
+std::vector<uint8_t> MergeValidity(const Value& l, const Value& r, int64_t n) {
+  const uint8_t* a = l.validity();
+  const uint8_t* b = r.validity();
+  if (a == nullptr && b == nullptr) {
+    return {};
+  }
+  std::vector<uint8_t> out(static_cast<size_t>(n));
+  if (a != nullptr && b != nullptr) {
+    for (int64_t i = 0; i < n; ++i) {
+      out[static_cast<size_t>(i)] = a[i] != 0 && b[i] != 0;
+    }
+  } else {
+    const uint8_t* one = a != nullptr ? a : b;
+    for (int64_t i = 0; i < n; ++i) {
+      out[static_cast<size_t>(i)] = one[i] != 0;
+    }
+  }
+  return out;
+}
+
+// Applies `f` to every row of the two readers.
+template <typename T, typename L, typename R, typename F>
+std::vector<T> Map(int64_t n, L l, R r, F f) {
+  std::vector<T> out(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    out[static_cast<size_t>(i)] = f(l[i], r[i]);
+  }
+  return out;
+}
+
+// Every comparison goes through operator< alone, so a NaN compares equal to
+// everything, as reference::EvalExpr's three-way compare has it.
+template <typename L, typename R>
+Column Compare(BinaryOp op, int64_t n, L l, R r, std::vector<uint8_t> validity) {
+  std::vector<uint8_t> out;
   switch (op) {
     case BinaryOp::kLt:
-      return cmp < 0;
+      out = Map<uint8_t>(n, l, r, [](auto a, auto b) { return a < b; });
+      break;
     case BinaryOp::kLe:
-      return cmp <= 0;
+      out = Map<uint8_t>(n, l, r, [](auto a, auto b) { return !(b < a); });
+      break;
     case BinaryOp::kGt:
-      return cmp > 0;
+      out = Map<uint8_t>(n, l, r, [](auto a, auto b) { return b < a; });
+      break;
     case BinaryOp::kGe:
-      return cmp >= 0;
+      out = Map<uint8_t>(n, l, r, [](auto a, auto b) { return !(a < b); });
+      break;
     case BinaryOp::kEq:
-      return cmp == 0;
-    case BinaryOp::kNe:
-      return cmp != 0;
-    default:
-      return false;
+      out = Map<uint8_t>(n, l, r, [](auto a, auto b) { return !(a < b) && !(b < a); });
+      break;
+    default:  // kNe
+      out = Map<uint8_t>(n, l, r, [](auto a, auto b) { return a < b || b < a; });
+      break;
   }
+  return Column::MakeBool(std::move(out), std::move(validity));
 }
 
-Result<Column> EvalBinary(BinaryOp op, const Column& lhs, const Column& rhs) {
-  const int64_t n = lhs.length();
-  if (rhs.length() != n) {
-    return Status::Internal("operand length mismatch in expression evaluation");
+// int64 arithmetic wraps in two's complement (signed overflow, and
+// INT64_MIN / -1, are otherwise undefined).
+int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
+int64_t Add(int64_t a, int64_t b) { return Wrap(static_cast<uint64_t>(a) + static_cast<uint64_t>(b)); }
+int64_t Sub(int64_t a, int64_t b) { return Wrap(static_cast<uint64_t>(a) - static_cast<uint64_t>(b)); }
+int64_t Mul(int64_t a, int64_t b) { return Wrap(static_cast<uint64_t>(a) * static_cast<uint64_t>(b)); }
+int64_t Div(int64_t a, int64_t b) { return b == -1 ? Sub(0, a) : a / b; }
+int64_t Mod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
+double Add(double a, double b) { return a + b; }
+double Sub(double a, double b) { return a - b; }
+double Mul(double a, double b) { return a * b; }
+double Div(double a, double b) { return a / b; }
+double Mod(double a, double b) { return std::fmod(a, b); }
+
+Column MakeColumn(std::vector<int64_t> v, std::vector<uint8_t> validity) {
+  return Column::MakeInt64(std::move(v), std::move(validity));
+}
+Column MakeColumn(std::vector<double> v, std::vector<uint8_t> validity) {
+  return Column::MakeFloat64(std::move(v), std::move(validity));
+}
+
+// Arithmetic in T (int64 or double); a zero divisor makes DIV/MOD null.
+template <typename T, typename L, typename R>
+Column Arithmetic(BinaryOp op, int64_t n, L l, R r, std::vector<uint8_t> validity) {
+  std::vector<T> out;
+  switch (op) {
+    case BinaryOp::kAdd:
+      out = Map<T>(n, l, r, [](T a, T b) { return Add(a, b); });
+      break;
+    case BinaryOp::kSub:
+      out = Map<T>(n, l, r, [](T a, T b) { return Sub(a, b); });
+      break;
+    case BinaryOp::kMul:
+      out = Map<T>(n, l, r, [](T a, T b) { return Mul(a, b); });
+      break;
+    default: {  // kDiv, kMod
+      const bool div = op == BinaryOp::kDiv;
+      if (validity.empty()) {
+        validity.assign(static_cast<size_t>(n), 1);
+      }
+      out.resize(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t row = static_cast<size_t>(i);
+        const T b = r[i];
+        if (b == 0) {
+          validity[row] = 0;
+        } else {
+          out[row] = div ? Div(l[i], b) : Mod(l[i], b);
+        }
+      }
+      break;
+    }
   }
+  return MakeColumn(std::move(out), std::move(validity));
+}
 
-  auto null_at = [&](int64_t i) { return lhs.IsNull(i) || rhs.IsNull(i); };
+// Evaluates `op` over `n` rows of two operands (n = 1 when both are
+// scalars). Nulls propagate: a null operand row gives a null result row.
+Result<Column> EvalBinary(BinaryOp op, const Value& l, const Value& r, int64_t n) {
+  std::vector<uint8_t> validity = MergeValidity(l, r, n);
 
-  // Logical ops over bools.
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-    if (lhs.type() != DataType::kBool || rhs.type() != DataType::kBool) {
+    if (l.type != DataType::kBool || r.type != DataType::kBool) {
       return Status::InvalidArgument("AND/OR require bool operands");
     }
-    ColumnBuilder out(DataType::kBool);
-    for (int64_t i = 0; i < n; ++i) {
-      if (null_at(i)) {
-        out.AppendNull();
-        continue;
-      }
-      bool a = lhs.BoolAt(i);
-      bool b = rhs.BoolAt(i);
-      out.AppendBool(op == BinaryOp::kAnd ? (a && b) : (a || b));
-    }
-    return out.Finish();
+    return ReadBool(l, [&](auto lin) {
+      return ReadBool(r, [&](auto rin) {
+        return Column::MakeBool(
+            op == BinaryOp::kAnd ? Map<uint8_t>(n, lin, rin, [](bool a, bool b) { return a && b; })
+                                 : Map<uint8_t>(n, lin, rin, [](bool a, bool b) { return a || b; }),
+            std::move(validity));
+      });
+    });
   }
 
-  // String comparisons.
-  if (lhs.type() == DataType::kString && rhs.type() == DataType::kString) {
+  if (l.type == DataType::kString && r.type == DataType::kString) {
     if (!IsComparison(op)) {
       return Status::InvalidArgument("strings support only comparisons, got " +
                                      std::string(BinaryOpName(op)));
     }
-    ColumnBuilder out(DataType::kBool);
-    for (int64_t i = 0; i < n; ++i) {
-      if (null_at(i)) {
-        out.AppendNull();
-        continue;
-      }
-      int cmp = lhs.StringAt(i).compare(rhs.StringAt(i));
-      out.AppendBool(ComparisonHolds(op, cmp < 0 ? -1 : (cmp > 0 ? 1 : 0)));
-    }
-    return out.Finish();
+    return ReadString(l, [&](auto lin) {
+      return ReadString(r,
+                        [&](auto rin) { return Compare(op, n, lin, rin, std::move(validity)); });
+    });
   }
 
-  // Bool equality.
-  if (lhs.type() == DataType::kBool && rhs.type() == DataType::kBool &&
+  if (l.type == DataType::kBool && r.type == DataType::kBool &&
       (op == BinaryOp::kEq || op == BinaryOp::kNe)) {
-    ColumnBuilder out(DataType::kBool);
-    for (int64_t i = 0; i < n; ++i) {
-      if (null_at(i)) {
-        out.AppendNull();
-        continue;
-      }
-      bool eq = lhs.BoolAt(i) == rhs.BoolAt(i);
-      out.AppendBool(op == BinaryOp::kEq ? eq : !eq);
-    }
-    return out.Finish();
+    return ReadBool(l, [&](auto lin) {
+      return ReadBool(r, [&](auto rin) { return Compare(op, n, lin, rin, std::move(validity)); });
+    });
   }
 
-  // Numeric arithmetic / comparison, with int->float promotion.
-  if (!IsNumeric(lhs.type()) || !IsNumeric(rhs.type())) {
+  if (!IsNumeric(l.type) || !IsNumeric(r.type)) {
     return Status::InvalidArgument(
-        "type mismatch: " + std::string(DataTypeName(lhs.type())) + " " +
-        std::string(BinaryOpName(op)) + " " + std::string(DataTypeName(rhs.type())));
+        "type mismatch: " + std::string(DataTypeName(l.type)) + " " +
+        std::string(BinaryOpName(op)) + " " + std::string(DataTypeName(r.type)));
   }
-  const bool as_float =
-      lhs.type() == DataType::kFloat64 || rhs.type() == DataType::kFloat64;
-
-  if (IsComparison(op)) {
-    ColumnBuilder out(DataType::kBool);
-    for (int64_t i = 0; i < n; ++i) {
-      if (null_at(i)) {
-        out.AppendNull();
-        continue;
-      }
-      int cmp;
-      if (as_float) {
-        double a = lhs.type() == DataType::kFloat64 ? lhs.Float64At(i)
-                                                    : static_cast<double>(lhs.Int64At(i));
-        double b = rhs.type() == DataType::kFloat64 ? rhs.Float64At(i)
-                                                    : static_cast<double>(rhs.Int64At(i));
-        cmp = CompareValues(a, b);
-      } else {
-        cmp = CompareValues(lhs.Int64At(i), rhs.Int64At(i));
-      }
-      out.AppendBool(ComparisonHolds(op, cmp));
-    }
-    return out.Finish();
+  // AND/OR are handled above, so the operator is a comparison or arithmetic.
+  if (l.type == DataType::kFloat64 || r.type == DataType::kFloat64) {
+    return ReadFloat(l, [&](auto lin) {
+      return ReadFloat(r, [&](auto rin) {
+        return IsComparison(op) ? Compare(op, n, lin, rin, std::move(validity))
+                                : Arithmetic<double>(op, n, lin, rin, std::move(validity));
+      });
+    });
   }
-
-  if (!IsArithmetic(op)) {
-    return Status::InvalidArgument("unsupported operator for numeric operands");
-  }
-
-  if (as_float) {
-    ColumnBuilder out(DataType::kFloat64);
-    for (int64_t i = 0; i < n; ++i) {
-      if (null_at(i)) {
-        out.AppendNull();
-        continue;
-      }
-      double a = lhs.type() == DataType::kFloat64 ? lhs.Float64At(i)
-                                                  : static_cast<double>(lhs.Int64At(i));
-      double b = rhs.type() == DataType::kFloat64 ? rhs.Float64At(i)
-                                                  : static_cast<double>(rhs.Int64At(i));
-      double r = 0.0;
-      switch (op) {
-        case BinaryOp::kAdd:
-          r = a + b;
-          break;
-        case BinaryOp::kSub:
-          r = a - b;
-          break;
-        case BinaryOp::kMul:
-          r = a * b;
-          break;
-        case BinaryOp::kDiv:
-          if (b == 0.0) {
-            out.AppendNull();
-            continue;
-          }
-          r = a / b;
-          break;
-        case BinaryOp::kMod:
-          if (b == 0.0) {
-            out.AppendNull();
-            continue;
-          }
-          r = std::fmod(a, b);
-          break;
-        default:
-          break;
-      }
-      out.AppendFloat64(r);
-    }
-    return out.Finish();
-  }
-
-  ColumnBuilder out(DataType::kInt64);
-  for (int64_t i = 0; i < n; ++i) {
-    if (null_at(i)) {
-      out.AppendNull();
-      continue;
-    }
-    int64_t a = lhs.Int64At(i);
-    int64_t b = rhs.Int64At(i);
-    int64_t r = 0;
-    switch (op) {
-      case BinaryOp::kAdd:
-        r = a + b;
-        break;
-      case BinaryOp::kSub:
-        r = a - b;
-        break;
-      case BinaryOp::kMul:
-        r = a * b;
-        break;
-      case BinaryOp::kDiv:
-        if (b == 0) {
-          out.AppendNull();
-          continue;
-        }
-        r = a / b;
-        break;
-      case BinaryOp::kMod:
-        if (b == 0) {
-          out.AppendNull();
-          continue;
-        }
-        r = a % b;
-        break;
-      default:
-        break;
-    }
-    out.AppendInt64(r);
-  }
-  return out.Finish();
+  return ReadInt(l, [&](auto lin) {
+    return ReadInt(r, [&](auto rin) {
+      return IsComparison(op) ? Compare(op, n, lin, rin, std::move(validity))
+                              : Arithmetic<int64_t>(op, n, lin, rin, std::move(validity));
+    });
+  });
 }
 
-// Materializes a literal as a constant column of `n` rows.
-Column LiteralColumn(const Expr& e, int64_t n) {
-  switch (e.literal_type()) {
-    case DataType::kInt64:
-      return Column::MakeInt64(std::vector<int64_t>(static_cast<size_t>(n), e.int_value()));
-    case DataType::kFloat64:
-      return Column::MakeFloat64(
-          std::vector<double>(static_cast<size_t>(n), e.double_value()));
-    case DataType::kString: {
-      std::vector<std::string> v(static_cast<size_t>(n), e.string_value());
-      return Column::MakeString(std::move(v));
-    }
-    case DataType::kBool:
-      return Column::MakeBool(
-          std::vector<uint8_t>(static_cast<size_t>(n), e.bool_value() ? 1 : 0));
-  }
-  return Column();
+Value ColumnValue(Column column) {
+  Value v;
+  v.type = column.type();
+  v.column = std::move(column);
+  return v;
 }
 
-}  // namespace
+// Folds a one-row result of scalar operands back into a scalar. A null (a
+// zero divisor) becomes an all-null column of `n` rows instead.
+Value FoldScalar(const Column& one, int64_t n) {
+  if (one.IsNull(0)) {
+    ColumnBuilder nulls(one.type());
+    for (int64_t i = 0; i < n; ++i) {
+      nulls.AppendNull();
+    }
+    return ColumnValue(nulls.Finish());
+  }
+  Value v;
+  v.type = one.type();
+  v.is_scalar = true;
+  if (v.type == DataType::kInt64) {
+    v.i = one.Int64At(0);
+  } else if (v.type == DataType::kFloat64) {
+    v.f = one.Float64At(0);
+  } else {
+    v.b = one.BoolAt(0);  // no operator yields a string
+  }
+  return v;
+}
 
-Result<Column> EvalExpr(const Expr& expr, const RecordBatch& batch) {
+Result<Value> Eval(const Expr& expr, const RecordBatch& batch) {
   switch (expr.kind()) {
     case ExprKind::kColumn: {
       const Column* col = batch.ColumnByName(expr.column_name());
@@ -415,32 +454,68 @@ Result<Column> EvalExpr(const Expr& expr, const RecordBatch& batch) {
         return Status::NotFound("column '" + expr.column_name() + "' not in schema " +
                                 batch.schema().ToString());
       }
-      return *col;
+      return ColumnValue(*col);
     }
-    case ExprKind::kLiteral:
-      return LiteralColumn(expr, batch.num_rows());
+    case ExprKind::kLiteral: {
+      Value v;
+      v.type = expr.literal_type();
+      v.is_scalar = true;
+      v.i = expr.int_value();
+      v.f = expr.double_value();
+      v.b = expr.bool_value();
+      v.s = expr.string_value();
+      return v;
+    }
     case ExprKind::kBinary: {
-      SKADI_ASSIGN_OR_RETURN(Column lhs, EvalExpr(*expr.left(), batch));
-      SKADI_ASSIGN_OR_RETURN(Column rhs, EvalExpr(*expr.right(), batch));
-      return EvalBinary(expr.op(), lhs, rhs);
+      SKADI_ASSIGN_OR_RETURN(Value l, Eval(*expr.left(), batch));
+      SKADI_ASSIGN_OR_RETURN(Value r, Eval(*expr.right(), batch));
+      if (l.is_scalar && r.is_scalar) {
+        SKADI_ASSIGN_OR_RETURN(Column one, EvalBinary(expr.op(), l, r, 1));
+        return FoldScalar(one, batch.num_rows());
+      }
+      SKADI_ASSIGN_OR_RETURN(Column out, EvalBinary(expr.op(), l, r, batch.num_rows()));
+      return ColumnValue(std::move(out));
     }
     case ExprKind::kNot: {
-      SKADI_ASSIGN_OR_RETURN(Column operand, EvalExpr(*expr.left(), batch));
-      if (operand.type() != DataType::kBool) {
+      SKADI_ASSIGN_OR_RETURN(Value v, Eval(*expr.left(), batch));
+      if (v.type != DataType::kBool) {
         return Status::InvalidArgument("NOT requires a bool operand");
       }
-      ColumnBuilder out(DataType::kBool);
-      for (int64_t i = 0; i < operand.length(); ++i) {
-        if (operand.IsNull(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendBool(!operand.BoolAt(i));
-        }
+      if (v.is_scalar) {
+        v.b = !v.b;
+        return v;
       }
-      return out.Finish();
+      const ArrayView<uint8_t> values = v.column.bools();
+      std::vector<uint8_t> out(values.size());
+      for (size_t i = 0; i < values.size(); ++i) {
+        out[i] = values[i] == 0;
+      }
+      return ColumnValue(Column::MakeBool(std::move(out), v.column.validity().ToVector()));
     }
   }
   return Status::Internal("unreachable expression kind");
+}
+
+}  // namespace
+
+Result<Column> EvalExpr(const Expr& expr, const RecordBatch& batch) {
+  SKADI_ASSIGN_OR_RETURN(Value v, Eval(expr, batch));
+  if (!v.is_scalar) {
+    return std::move(v.column);
+  }
+  // A constant expression: its one value on every row.
+  const size_t n = static_cast<size_t>(batch.num_rows());
+  switch (v.type) {
+    case DataType::kInt64:
+      return Column::MakeInt64(std::vector<int64_t>(n, v.i));
+    case DataType::kFloat64:
+      return Column::MakeFloat64(std::vector<double>(n, v.f));
+    case DataType::kString:
+      return Column::MakeString(std::vector<std::string>(n, std::string(v.s)));
+    case DataType::kBool:
+      return Column::MakeBool(std::vector<uint8_t>(n, v.b ? 1 : 0));
+  }
+  return Status::Internal("unknown data type");
 }
 
 }  // namespace skadi

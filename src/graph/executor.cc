@@ -15,54 +15,40 @@ Result<GraphRunResult> GraphExecutor::Run(
     const std::map<VertexId, std::vector<ObjectRef>>& source_inputs) {
   GraphRunResult result;
 
-  // (vertex) -> per-shard output ref.
-  std::map<VertexId, std::vector<ObjectRef>> outputs;
-  // (edge src, src shard) -> partition refs produced by the shuffle writer.
-  std::map<std::pair<VertexId, int>, std::vector<ObjectRef>> shuffle_parts;
+  // (vertex) -> per shard, that shard task's returns in the vertex plan's
+  // return layout.
+  std::map<VertexId, std::vector<std::vector<ObjectRef>>> returns;
 
   for (const PhysicalVertexPlan& plan : graph.vertices) {
     const int dop = plan.parallelism;
     std::vector<PhysicalEdgePlan> in_edges = graph.InEdges(plan.logical);
+    std::vector<std::vector<ObjectRef>>& shard_returns = returns[plan.logical];
 
-    // Pre-run shuffle writers for incoming shuffle edges.
-    for (const PhysicalEdgePlan& edge : in_edges) {
-      if (edge.kind != EdgeKind::kShuffle) {
-        continue;
+    const std::vector<ObjectRef>* bound = nullptr;
+    if (in_edges.empty()) {
+      auto it = source_inputs.find(plan.logical);
+      if (it == source_inputs.end() || it->second.empty()) {
+        return Status::InvalidArgument("source vertex '" + plan.name +
+                                       "' has no bound inputs");
       }
-      const std::vector<ObjectRef>& src_out = outputs.at(edge.src);
-      for (size_t s = 0; s < src_out.size(); ++s) {
-        auto key = std::make_pair(edge.src, static_cast<int>(s));
-        if (shuffle_parts.count(key) > 0) {
-          continue;  // another consumer already shuffled this shard
+      bound = &it->second;
+      if (plan.identity && static_cast<int>(bound->size()) == dop) {
+        for (const ObjectRef& ref : *bound) {
+          shard_returns.push_back({ref});
         }
-        TaskSpec spec;
-        spec.function = edge.shuffle_function;
-        spec.args.push_back(TaskArg::Ref(src_out[s]));
-        spec.num_returns = dop;
-        spec.op_class = OpClass::kShuffleWrite;
-        SKADI_ASSIGN_OR_RETURN(std::vector<ObjectRef> parts,
-                               runtime_->Submit(std::move(spec)));
-        shuffle_parts[key] = std::move(parts);
-        ++result.tasks_submitted;
-        ++result.shuffle_tasks;
+        continue;
       }
     }
 
-    std::vector<ObjectRef> shard_outputs;
-    shard_outputs.reserve(static_cast<size_t>(dop));
-
     for (int shard = 0; shard < dop; ++shard) {
+      // args[0] is the group header, set once the groups are known.
+      TaskSpec spec;
+      spec.args.push_back(TaskArg::Value(Buffer()));
       std::vector<uint32_t> group_sizes;
-      std::vector<TaskArg> buffer_args;
 
-      if (in_edges.empty()) {
+      if (bound != nullptr) {
         // Source vertex: bound inputs, distributed round-robin over shards.
-        auto it = source_inputs.find(plan.logical);
-        if (it == source_inputs.end() || it->second.empty()) {
-          return Status::InvalidArgument("source vertex '" + plan.name +
-                                         "' has no bound inputs");
-        }
-        const std::vector<ObjectRef>& refs = it->second;
+        const std::vector<ObjectRef>& refs = *bound;
         if (plan.num_inputs > 1) {
           // Multi-input source (e.g. a tensor op over several operands):
           // exactly one bound ref per logical input, every shard sees all.
@@ -73,20 +59,16 @@ Result<GraphRunResult> GraphExecutor::Run(
                 std::to_string(refs.size()) + " bound refs");
           }
           for (const ObjectRef& ref : refs) {
-            buffer_args.push_back(TaskArg::Ref(ref));
+            spec.args.push_back(TaskArg::Ref(ref));
             group_sizes.push_back(1);
           }
         } else {
+          // A single bound ref is replicated into every shard.
           uint32_t count = 0;
-          if (refs.size() == 1) {
-            buffer_args.push_back(TaskArg::Ref(refs[0]));
-            count = 1;
-          } else {
-            for (size_t i = 0; i < refs.size(); ++i) {
-              if (static_cast<int>(i % static_cast<size_t>(dop)) == shard) {
-                buffer_args.push_back(TaskArg::Ref(refs[i]));
-                ++count;
-              }
+          for (size_t i = 0; i < refs.size(); ++i) {
+            if (refs.size() == 1 || static_cast<int>(i % static_cast<size_t>(dop)) == shard) {
+              spec.args.push_back(TaskArg::Ref(refs[i]));
+              ++count;
             }
           }
           if (count == 0) {
@@ -97,62 +79,52 @@ Result<GraphRunResult> GraphExecutor::Run(
         }
       } else {
         for (const PhysicalEdgePlan& edge : in_edges) {
-          const std::vector<ObjectRef>& src_out = outputs.at(edge.src);
+          const std::vector<std::vector<ObjectRef>>& src = returns.at(edge.src);
           switch (edge.kind) {
             case EdgeKind::kForward: {
-              if (src_out.size() == 1) {
-                buffer_args.push_back(TaskArg::Ref(src_out[0]));
-                group_sizes.push_back(1);
-              } else if (static_cast<int>(src_out.size()) == dop) {
-                buffer_args.push_back(TaskArg::Ref(src_out[static_cast<size_t>(shard)]));
-                group_sizes.push_back(1);
-              } else {
+              if (src.size() != 1 && static_cast<int>(src.size()) != dop) {
                 return Status::InvalidArgument(
                     "forward edge parallelism mismatch into '" + plan.name + "': " +
-                    std::to_string(src_out.size()) + " vs " + std::to_string(dop));
+                    std::to_string(src.size()) + " vs " + std::to_string(dop));
               }
+              spec.args.push_back(
+                  TaskArg::Ref(src[src.size() == 1 ? 0 : static_cast<size_t>(shard)][0]));
+              group_sizes.push_back(1);
               break;
             }
-            case EdgeKind::kBroadcast: {
-              for (const ObjectRef& ref : src_out) {
-                buffer_args.push_back(TaskArg::Ref(ref));
-              }
-              group_sizes.push_back(static_cast<uint32_t>(src_out.size()));
-              break;
-            }
+            case EdgeKind::kBroadcast:
             case EdgeKind::kShuffle: {
-              uint32_t count = 0;
-              for (size_t s = 0; s < src_out.size(); ++s) {
-                const auto& parts =
-                    shuffle_parts.at(std::make_pair(edge.src, static_cast<int>(s)));
-                buffer_args.push_back(TaskArg::Ref(parts[static_cast<size_t>(shard)]));
-                ++count;
+              // Every producer shard feeds this shard: its whole output, or
+              // its partition for this shard.
+              const size_t index = edge.kind == EdgeKind::kShuffle
+                                       ? static_cast<size_t>(edge.first_return + shard)
+                                       : 0;
+              for (const std::vector<ObjectRef>& src_shard : src) {
+                spec.args.push_back(TaskArg::Ref(src_shard[index]));
               }
-              group_sizes.push_back(count);
+              group_sizes.push_back(static_cast<uint32_t>(src.size()));
               break;
             }
           }
         }
       }
 
-      TaskSpec spec;
+      spec.args[0] = TaskArg::Value(MakeVertexArgHeader(group_sizes));
       spec.function = plan.task_function;
-      spec.args.push_back(TaskArg::Value(MakeVertexArgHeader(group_sizes)));
-      for (TaskArg& arg : buffer_args) {
-        spec.args.push_back(std::move(arg));
-      }
-      spec.num_returns = 1;
+      spec.num_returns = plan.num_returns;
       spec.op_class = plan.op_class;
       spec.required_device = plan.backend;
       SKADI_ASSIGN_OR_RETURN(std::vector<ObjectRef> refs, runtime_->Submit(std::move(spec)));
-      shard_outputs.push_back(refs[0]);
+      shard_returns.push_back(std::move(refs));
       ++result.tasks_submitted;
     }
-    outputs[plan.logical] = std::move(shard_outputs);
   }
 
   for (VertexId sink : graph.Sinks()) {
-    result.sink_outputs[sink] = outputs.at(sink);
+    std::vector<ObjectRef>& out = result.sink_outputs[sink];
+    for (const std::vector<ObjectRef>& shard : returns.at(sink)) {
+      out.push_back(shard[0]);
+    }
   }
   return result;
 }

@@ -1,8 +1,8 @@
 // Physical-graph executor: launches one task per vertex shard on the
 // stateful serverless runtime, wiring shard inputs according to edge kinds
-// (forward / broadcast / shuffle with an inserted shuffle-write stage) and
+// (forward / broadcast / shuffle, whose partitions the producer returns) and
 // passing everything by reference — the futures pipeline of Figure 2's
-// pseudo-code.
+// pseudo-code. Identity sources bound to one ref per shard run no task.
 #ifndef SRC_GRAPH_EXECUTOR_H_
 #define SRC_GRAPH_EXECUTOR_H_
 
@@ -18,7 +18,6 @@ struct GraphRunResult {
   // Output refs of every sink vertex, per shard.
   std::map<VertexId, std::vector<ObjectRef>> sink_outputs;
   int64_t tasks_submitted = 0;
-  int64_t shuffle_tasks = 0;
 
   // Convenience: all sink refs flattened.
   std::vector<ObjectRef> AllSinkRefs() const;

@@ -226,36 +226,32 @@ Result<int> OptimizeFlowGraph(FlowGraph& graph) {
       auto merged_ir = std::make_shared<IrFunction>(std::move(composed).value());
       SKADI_RETURN_IF_ERROR(PassManager::StandardPipeline().Run(*merged_ir));
 
-      // Rebuild the graph: new merged vertex replaces src+dst.
+      // Rebuild the graph: the merged vertex replaces src+dst. Vertices are
+      // copied whole under fresh ids, so every hint survives; the merged
+      // vertex takes src's settings, else dst's.
       FlowGraph next;
       std::map<VertexId, VertexId> remap;
-      VertexId merged_id;
       for (const FlowVertex& v : graph.vertices()) {
+        if (v.id == dst) {
+          continue;
+        }
+        VertexId nid = v.is_ir() ? next.AddIrVertex(v.name, v.ir)
+                                 : next.AddBuiltinVertex(v.name, v.builtin);
+        FlowVertex* created = next.vertex(nid);
+        *created = v;
+        created->id = nid;
+        remap[v.id] = nid;
         if (v.id == src) {
-          merged_id = next.AddIrVertex(sv->name + "+" + dv->name, merged_ir,
-                                       sv->op_class != OpClass::kGeneric ? sv->op_class
-                                                                         : dv->op_class);
-          FlowVertex* created = next.vertex(merged_id);
+          remap[dst] = nid;
+          created->name = sv->name + "+" + dv->name;
+          created->ir = merged_ir;
+          created->op_class = sv->op_class != OpClass::kGeneric ? sv->op_class : dv->op_class;
           created->parallelism_hint =
               sv->parallelism_hint != 0 ? sv->parallelism_hint : dv->parallelism_hint;
           created->backend_hint =
               sv->backend_hint.has_value() ? sv->backend_hint : dv->backend_hint;
-          remap[src] = merged_id;
-          remap[dst] = merged_id;
-        } else if (v.id == dst) {
-          // skip: folded into merged vertex
-        } else {
-          FlowVertex copy = v;
-          VertexId nid;
-          if (copy.is_ir()) {
-            nid = next.AddIrVertex(copy.name, copy.ir, copy.op_class);
-          } else {
-            nid = next.AddBuiltinVertex(copy.name, copy.builtin, copy.op_class);
-          }
-          FlowVertex* created = next.vertex(nid);
-          created->parallelism_hint = copy.parallelism_hint;
-          created->backend_hint = copy.backend_hint;
-          remap[v.id] = nid;
+          created->compute_threads_hint =
+              sv->compute_threads_hint != 0 ? sv->compute_threads_hint : dv->compute_threads_hint;
         }
       }
       for (const FlowEdge& e : graph.edges()) {

@@ -1,5 +1,6 @@
 #include "src/graph/physical.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <sstream>
@@ -15,18 +16,6 @@ namespace skadi {
 namespace {
 
 std::atomic<uint64_t> g_lowering_counter{1};
-
-// Task argument layout for vertex shards: args[0] is a header listing the
-// group size per vertex input; the remaining args are the grouped buffers in
-// order. Groups with several buffers are concatenated (tables only).
-Buffer MakeGroupHeader(const std::vector<uint32_t>& group_sizes) {
-  BufferBuilder b;
-  b.AppendU32(static_cast<uint32_t>(group_sizes.size()));
-  for (uint32_t size : group_sizes) {
-    b.AppendU32(size);
-  }
-  return b.Finish();
-}
 
 Result<std::vector<std::vector<Buffer>>> SplitGroups(std::vector<Buffer>& args) {
   if (args.empty()) {
@@ -48,17 +37,13 @@ Result<std::vector<std::vector<Buffer>>> SplitGroups(std::vector<Buffer>& args) 
   return groups;
 }
 
-// Merges a group into one value buffer: single buffers pass through
-// (zero-copy — the handle aliases the producer's sealed buffer end to end);
-// multi-buffer groups must be IPC batches and are concatenated. The
-// deserialize side is itself zero-copy, so the concat reads column views
-// straight out of the wire buffers and only the merged result is new bytes.
-Result<Buffer> MergeGroup(std::vector<Buffer>& group) {
-  if (group.empty()) {
-    return Status::InvalidArgument("empty input group");
-  }
+// Decodes a group of IPC batches into one batch. A single buffer decodes
+// zero-copy (its views alias the producer's sealed buffer end to end);
+// several are concatenated, reading column views straight out of the wire
+// buffers so only the merged batch is new bytes.
+Result<RecordBatch> ConcatGroup(const std::vector<Buffer>& group) {
   if (group.size() == 1) {
-    return group[0];
+    return DeserializeBatchIpc(group[0]);
   }
   std::vector<RecordBatch> batches;
   batches.reserve(group.size());
@@ -66,26 +51,34 @@ Result<Buffer> MergeGroup(std::vector<Buffer>& group) {
     SKADI_ASSIGN_OR_RETURN(RecordBatch batch, DeserializeBatchIpc(buffer));
     batches.push_back(std::move(batch));
   }
-  SKADI_ASSIGN_OR_RETURN(RecordBatch merged, ConcatBatches(batches));
+  return ConcatBatches(batches);
+}
+
+// Merges a builtin vertex's input group into one value buffer: a single
+// buffer passes through; several are concatenated and re-serialized.
+Result<Buffer> MergeGroup(const std::vector<Buffer>& group) {
+  if (group.size() == 1) {
+    return group[0];
+  }
+  SKADI_ASSIGN_OR_RETURN(RecordBatch merged, ConcatGroup(group));
   return SerializeBatchIpc(merged);
 }
 
-Result<IrRuntimeValue> DecodeIrValue(const Buffer& buffer, IrTypeKind kind) {
-  switch (kind) {
-    case IrTypeKind::kTable: {
-      SKADI_ASSIGN_OR_RETURN(RecordBatch batch, DeserializeBatchIpc(buffer));
-      return IrRuntimeValue(std::move(batch));
-    }
-    case IrTypeKind::kTensor: {
-      SKADI_ASSIGN_OR_RETURN(Tensor tensor, DeserializeTensor(buffer));
-      return IrRuntimeValue(std::move(tensor));
-    }
-    case IrTypeKind::kScalar: {
-      BufferReader r(buffer);
-      return IrRuntimeValue(r.ReadF64());
-    }
+// Decodes an IR vertex's input group; only tables may span several buffers.
+Result<IrRuntimeValue> DecodeGroup(const std::vector<Buffer>& group, IrTypeKind kind) {
+  if (kind == IrTypeKind::kTable) {
+    SKADI_ASSIGN_OR_RETURN(RecordBatch batch, ConcatGroup(group));
+    return IrRuntimeValue(std::move(batch));
   }
-  return Status::Internal("unknown IR type kind");
+  if (group.size() != 1) {
+    return Status::InvalidArgument("a non-table input takes exactly one buffer");
+  }
+  if (kind == IrTypeKind::kTensor) {
+    SKADI_ASSIGN_OR_RETURN(Tensor tensor, DeserializeTensor(group[0]));
+    return IrRuntimeValue(std::move(tensor));
+  }
+  BufferReader r(group[0]);
+  return IrRuntimeValue(r.ReadF64());
 }
 
 Buffer EncodeIrValue(const IrRuntimeValue& value) {
@@ -98,6 +91,30 @@ Buffer EncodeIrValue(const IrRuntimeValue& value) {
   BufferBuilder b;
   b.AppendF64(std::get<double>(value));
   return b.Finish();
+}
+
+struct ShuffleOut {  // one shuffle out-edge, as its producer writes it
+  std::vector<std::string> keys;
+  uint32_t consumers = 1;
+};
+
+// Appends, for each shuffle out-edge in edge order, one IPC hash partition of
+// the (table) output per consumer shard.
+Status AppendShufflePartitions(const IrRuntimeValue& output,
+                               const std::vector<ShuffleOut>& shuffles,
+                               const ComputeOptions& options, std::vector<Buffer>& out) {
+  for (const ShuffleOut& shuffle : shuffles) {
+    const RecordBatch* batch = std::get_if<RecordBatch>(&output);
+    if (batch == nullptr) {
+      return Status::InvalidArgument("only a table output can be shuffled");
+    }
+    SKADI_ASSIGN_OR_RETURN(auto partitions,
+                           HashPartitionBatch(*batch, shuffle.keys, shuffle.consumers, options));
+    for (const RecordBatch& partition : partitions) {
+      out.push_back(SerializeBatchIpc(partition));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -116,16 +133,6 @@ std::vector<PhysicalEdgePlan> PhysicalGraph::InEdges(VertexId id) const {
   for (const PhysicalEdgePlan& e : edges) {
     if (e.dst == id) {
       out.push_back(e);
-    }
-  }
-  return out;
-}
-
-std::vector<VertexId> PhysicalGraph::Sources() const {
-  std::vector<VertexId> out;
-  for (const PhysicalVertexPlan& v : vertices) {
-    if (InEdges(v.logical).empty()) {
-      out.push_back(v.logical);
     }
   }
   return out;
@@ -179,15 +186,38 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
   const uint64_t lowering_id = g_lowering_counter.fetch_add(1);
 
   PhysicalGraph physical;
+  auto parallelism_of = [&](const FlowVertex& v) {
+    return v.parallelism_hint > 0 ? v.parallelism_hint : options.default_parallelism;
+  };
+  for (const FlowEdge& e : graph.edges()) {
+    physical.edges.push_back({e.src, e.dst, e.kind, e.keys});
+  }
 
   for (VertexId vid : order) {
     const FlowVertex* vertex = graph.vertex(vid);
     PhysicalVertexPlan plan;
     plan.logical = vid;
     plan.name = vertex->name;
-    plan.parallelism =
-        vertex->parallelism_hint > 0 ? vertex->parallelism_hint : options.default_parallelism;
+    plan.parallelism = parallelism_of(*vertex);
     plan.op_class = vertex->op_class;
+
+    // Return layout: the output when a forward/broadcast edge or the sink
+    // reads it, then each shuffle out-edge's partitions.
+    std::vector<FlowEdge> out_edges = graph.OutEdges(vid);
+    plan.returns_output =
+        out_edges.empty() || std::any_of(out_edges.begin(), out_edges.end(), [](const FlowEdge& e) {
+          return e.kind != EdgeKind::kShuffle;
+        });
+    plan.num_returns = plan.returns_output ? 1 : 0;
+    std::vector<ShuffleOut> shuffles;
+    for (PhysicalEdgePlan& e : physical.edges) {
+      if (e.src == vid && e.kind == EdgeKind::kShuffle) {
+        const int consumers = parallelism_of(*graph.vertex(e.dst));
+        e.first_return = plan.num_returns;
+        plan.num_returns += consumers;
+        shuffles.push_back({e.keys, static_cast<uint32_t>(consumers)});
+      }
+    }
 
     if (vertex->is_ir()) {
       std::shared_ptr<IrFunction> ir = vertex->ir;
@@ -195,6 +225,9 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
       if (options.run_ir_passes) {
         SKADI_RETURN_IF_ERROR(PassManager::StandardPipeline().Run(*ir));
       }
+      plan.identity = ir->ops().empty() && ir->params().size() == 1 &&
+                      ir->returns().size() == 1 && ir->returns()[0] == ir->params()[0] &&
+                      shuffles.empty();
 
       // Backend: hint wins; otherwise cheapest candidate for the dominant
       // (first) op class of the function.
@@ -236,8 +269,8 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
       const int threads_hint = vertex->compute_threads_hint;
       SKADI_RETURN_IF_ERROR(registry->Register(
           plan.task_function,
-          [ir, threads_hint](TaskContext& ctx,
-                             std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
+          [ir, threads_hint, returns_output = plan.returns_output, shuffles](
+              TaskContext& ctx, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
             if (groups.size() != ir->params().size()) {
               return Status::InvalidArgument(
@@ -248,9 +281,8 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             std::vector<IrRuntimeValue> values;
             values.reserve(groups.size());
             for (size_t i = 0; i < groups.size(); ++i) {
-              SKADI_ASSIGN_OR_RETURN(Buffer merged, MergeGroup(groups[i]));
               SKADI_ASSIGN_OR_RETURN(IrType type, ir->TypeOf(ir->params()[i]));
-              SKADI_ASSIGN_OR_RETURN(IrRuntimeValue value, DecodeIrValue(merged, type.kind));
+              SKADI_ASSIGN_OR_RETURN(IrRuntimeValue value, DecodeGroup(groups[i], type.kind));
               values.push_back(std::move(value));
             }
             // Vertex hint wins; otherwise the raylet's worker budget flows
@@ -264,11 +296,18 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             if (outputs.empty()) {
               return Status::Internal("vertex '" + ir->name() + "' produced no outputs");
             }
-            return std::vector<Buffer>{EncodeIrValue(outputs[0])};
+            std::vector<Buffer> returns;
+            if (returns_output) {
+              returns.push_back(EncodeIrValue(outputs[0]));
+            }
+            SKADI_RETURN_IF_ERROR(
+                AppendShufflePartitions(outputs[0], shuffles, eval_options.compute, returns));
+            return returns;
           }));
     } else {
       // Builtin vertex: delegate to the registered handcrafted op, after the
-      // same group-merge step so fan-in edges behave identically.
+      // same group-merge step so fan-in edges behave identically, then write
+      // its shuffles from the op's one output batch.
       std::string builtin = vertex->builtin;
       if (!registry->Contains(builtin)) {
         return Status::NotFound("builtin op '" + builtin + "' of vertex '" + vertex->name +
@@ -279,8 +318,8 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
       FunctionRegistry* reg = registry;
       SKADI_RETURN_IF_ERROR(registry->Register(
           plan.task_function,
-          [builtin, reg](TaskContext& ctx,
-                         std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
+          [builtin, reg, returns_output = plan.returns_output, shuffles](
+              TaskContext& ctx, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
             std::vector<Buffer> merged;
             merged.reserve(groups.size());
@@ -289,56 +328,40 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
               merged.push_back(std::move(m));
             }
             SKADI_ASSIGN_OR_RETURN(const TaskFunction* fn, reg->Lookup(builtin));
-            return (*fn)(ctx, merged);
+            SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> returns, (*fn)(ctx, merged));
+            if (shuffles.empty()) {
+              return returns;
+            }
+            if (returns.size() != 1) {
+              return Status::InvalidArgument("builtin '" + builtin +
+                                             "' must return one batch to shuffle");
+            }
+            SKADI_ASSIGN_OR_RETURN(RecordBatch table, DeserializeBatchIpc(returns[0]));
+            returns.resize(returns_output ? 1 : 0);
+            ComputeOptions copts;
+            copts.num_threads = ctx.compute_threads;
+            SKADI_RETURN_IF_ERROR(
+                AppendShufflePartitions(IrRuntimeValue(std::move(table)), shuffles, copts, returns));
+            return returns;
           }));
     }
     physical.vertices.push_back(std::move(plan));
   }
 
-  // Edges + shuffle writers.
-  int edge_index = 0;
-  for (const FlowEdge& e : graph.edges()) {
-    PhysicalEdgePlan edge;
-    edge.src = e.src;
-    edge.dst = e.dst;
-    edge.kind = e.kind;
-    edge.keys = e.keys;
-    if (e.kind == EdgeKind::kShuffle) {
-      const PhysicalVertexPlan* dst_plan = physical.plan(e.dst);
-      uint32_t dst_parallelism = static_cast<uint32_t>(dst_plan->parallelism);
-      std::vector<std::string> keys = e.keys;
-      edge.shuffle_function = "shufw." + std::to_string(lowering_id) + "." +
-                              std::to_string(edge_index);
-      SKADI_RETURN_IF_ERROR(registry->Register(
-          edge.shuffle_function,
-          [keys, dst_parallelism](TaskContext& ctx, std::vector<Buffer>& args)
-              -> Result<std::vector<Buffer>> {
-            if (args.size() != 1) {
-              return Status::InvalidArgument("shuffle writer takes one batch");
-            }
-            SKADI_ASSIGN_OR_RETURN(RecordBatch batch, DeserializeBatchIpc(args[0]));
-            ComputeOptions copts;
-            copts.num_threads = ctx.compute_threads;
-            SKADI_ASSIGN_OR_RETURN(
-                auto partitions, HashPartitionBatch(batch, keys, dst_parallelism, copts));
-            std::vector<Buffer> out;
-            out.reserve(partitions.size());
-            for (const RecordBatch& p : partitions) {
-              out.push_back(SerializeBatchIpc(p));
-            }
-            return out;
-          }));
-    }
-    physical.edges.push_back(std::move(edge));
-    ++edge_index;
-  }
-
   return physical;
 }
 
-// Exposed for the executor: header construction shares the layout above.
+// Task argument layout for vertex shards: args[0] is this header listing the
+// group size per vertex input; the remaining args are the grouped buffers in
+// order (SplitGroups above). Groups with several buffers are concatenated
+// (tables only).
 Buffer MakeVertexArgHeader(const std::vector<uint32_t>& group_sizes) {
-  return MakeGroupHeader(group_sizes);
+  BufferBuilder b;
+  b.AppendU32(static_cast<uint32_t>(group_sizes.size()));
+  for (uint32_t size : group_sizes) {
+    b.AppendU32(size);
+  }
+  return b.Finish();
 }
 
 }  // namespace skadi

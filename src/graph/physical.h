@@ -3,8 +3,11 @@
 // Lowering (1) picks a hardware backend for every vertex (cost model over
 // the vertex's op class, or the vertex's hint), (2) decides each vertex's
 // degree of parallelism (hint or default — the subscripts in Figure 2), and
-// (3) registers the executable task functions: one wrapper per vertex (IR
-// interpreter or builtin delegate) plus one shuffle-writer per keyed edge.
+// (3) registers one executable task function per vertex (IR interpreter or
+// builtin delegate). The producer writes its own shuffles: a shard's task
+// returns its output only when a forward or broadcast edge, or the sink,
+// reads it, and then one hash partition per consumer shard for each shuffle
+// out-edge, in edge order.
 #ifndef SRC_GRAPH_PHYSICAL_H_
 #define SRC_GRAPH_PHYSICAL_H_
 
@@ -28,6 +31,13 @@ struct PhysicalVertexPlan {
   int num_inputs = 1;
   // Registered task function executing one shard of this vertex.
   std::string task_function;
+  // A shard task returns its output first when `returns_output`, then each
+  // shuffle out-edge's partitions (PhysicalEdgePlan::first_return).
+  bool returns_output = true;
+  int num_returns = 1;
+  // No ops, returns its only parameter, no shuffle out-edge: as a source
+  // bound to one ref per shard, those refs are its outputs and no task runs.
+  bool identity = false;
 };
 
 struct PhysicalEdgePlan {
@@ -35,9 +45,9 @@ struct PhysicalEdgePlan {
   VertexId dst;
   EdgeKind kind = EdgeKind::kForward;
   std::vector<std::string> keys;
-  // For shuffle edges: registered shuffle-writer function (num_returns =
-  // dst parallelism).
-  std::string shuffle_function;
+  // Shuffle edges: index of this edge's first partition among the producer
+  // shard's returns; consumer shard i reads return first_return + i.
+  int first_return = 0;
 };
 
 struct PhysicalGraph {
@@ -47,7 +57,6 @@ struct PhysicalGraph {
 
   const PhysicalVertexPlan* plan(VertexId id) const;
   std::vector<PhysicalEdgePlan> InEdges(VertexId id) const;
-  std::vector<VertexId> Sources() const;
   std::vector<VertexId> Sinks() const;
 
   std::string ToString() const;
@@ -64,8 +73,8 @@ struct LoweringOptions {
   bool run_ir_passes = true;
 };
 
-// Lowers the (validated) logical graph; registers vertex + shuffle task
-// functions into `registry`. The graph's IR functions are shared (not
+// Lowers the (validated) logical graph; registers the vertex task functions
+// into `registry`. The graph's IR functions are shared (not
 // copied), so pass effects persist.
 Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOptions& options,
                                       FunctionRegistry* registry);

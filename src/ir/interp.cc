@@ -94,8 +94,8 @@ Result<std::vector<IrRuntimeValue>> EvalIrFunction(const IrFunction& fn,
       SKADI_ASSIGN_OR_RETURN(ExprPtr pred, op.GetAttr<ExprPtr>("pred"));
       SKADI_ASSIGN_OR_RETURN(auto projections,
                              op.GetAttr<std::vector<ProjectionSpec>>("projections"));
-      SKADI_ASSIGN_OR_RETURN(RecordBatch filtered, FilterBatch(batch, *pred, copts));
-      SKADI_ASSIGN_OR_RETURN(RecordBatch out, ProjectBatch(filtered, projections, copts));
+      SKADI_ASSIGN_OR_RETURN(RecordBatch out,
+                             FilterProjectBatch(batch, *pred, projections, copts));
       result = std::move(out);
     } else if (opcode == kOpRelAggregate) {
       SKADI_ASSIGN_OR_RETURN(RecordBatch batch, AsBatch(*in[0], opcode));

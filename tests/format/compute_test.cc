@@ -52,6 +52,26 @@ TEST(ProjectTest, ComputesExpressions) {
   EXPECT_DOUBLE_EQ(r->column(1).Float64At(2), 90.0);
 }
 
+TEST(FilterProjectTest, MatchesFilterThenProject) {
+  // The predicate reads a column (amount) no projection reads; the constant
+  // projection reads none at all.
+  auto pred = Expr::Binary(BinaryOp::kGt, Expr::Col("amount"), Expr::Int(25));
+  for (const std::vector<ProjectionSpec>& projections :
+       {std::vector<ProjectionSpec>{
+            {Expr::Binary(BinaryOp::kMul, Expr::Col("price"), Expr::Int(2)), "p2"},
+            {Expr::Col("region"), "region"}},
+        std::vector<ProjectionSpec>{{Expr::Int(1), "one"}}}) {
+    auto fused = FilterProjectBatch(SalesBatch(), *pred, projections);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    auto filtered = FilterBatch(SalesBatch(), *pred);
+    ASSERT_TRUE(filtered.ok());
+    auto want = ProjectBatch(*filtered, projections);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(fused->ToString(), want->ToString());
+    EXPECT_EQ(fused->num_rows(), 4);
+  }
+}
+
 TEST(ProjectTest, NullExprRejected) {
   auto r = ProjectBatch(SalesBatch(), {{nullptr, "x"}});
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);

@@ -61,6 +61,33 @@ class GraphExecTest : public ::testing::Test {
     return fn;
   }
 
+  std::shared_ptr<IrFunction> CountBy(const std::string& key) {
+    auto fn = std::make_shared<IrFunction>("count_by_" + key);
+    ValueId t = fn->AddParam(IrType::Table());
+    ValueId a = EmitAggregate(*fn, t, {key}, {{AggKind::kCount, "*", "n"}});
+    fn->SetReturns({a});
+    return fn;
+  }
+
+  std::shared_ptr<IrFunction> Identity() {
+    auto fn = std::make_shared<IrFunction>("id");
+    ValueId t = fn->AddParam(IrType::Table());
+    fn->SetReturns({t});
+    return fn;
+  }
+
+  // Concatenates a sink's shard outputs, sorted by `key`.
+  Result<RecordBatch> SinkSortedBy(const GraphRunResult& run, VertexId sink,
+                                   const std::string& key) {
+    std::vector<RecordBatch> pieces;
+    for (const ObjectRef& ref : run.sink_outputs.at(sink)) {
+      SKADI_ASSIGN_OR_RETURN(RecordBatch piece, GetBatch(ref));
+      pieces.push_back(std::move(piece));
+    }
+    SKADI_ASSIGN_OR_RETURN(RecordBatch merged, ConcatBatches(pieces));
+    return SortBatch(merged, {{key, true}});
+  }
+
   std::unique_ptr<Cluster> cluster_;
   FunctionRegistry registry_;
   std::unique_ptr<SkadiRuntime> runtime_;
@@ -128,7 +155,8 @@ TEST_F(GraphExecTest, ShuffleGroupByMatchesSingleNodeResult) {
   auto result = executor.RunToCompletion(
       *physical, {{f, {PutBatch(input.Slice(0, 100)), PutBatch(input.Slice(100, 100))}}});
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->shuffle_tasks, 0);
+  // 2 filter shards write the shuffle themselves, then 2 aggregate shards.
+  EXPECT_EQ(result->tasks_submitted, 4);
 
   // Merge the sharded aggregate outputs and compare with the single-node
   // reference aggregation.
@@ -149,6 +177,86 @@ TEST_F(GraphExecTest, ShuffleGroupByMatchesSingleNodeResult) {
   for (int64_t i = 0; i < sorted_ref->num_rows(); ++i) {
     EXPECT_EQ(sorted_merged->ColumnByName("sum_x")->Int64At(i),
               sorted_ref->ColumnByName("sum_x")->Int64At(i));
+  }
+}
+
+TEST_F(GraphExecTest, TwoShuffleOutEdgesPartitionByTheirOwnKeysAndWidths) {
+  // One 2-shard source feeds two shuffles: by_g on g, by_k on k. Each
+  // consumer must receive its own edge's partitions, at equal and at
+  // different consumer widths.
+  RecordBatch numbers = NumbersBatch(0, 200);
+  ColumnBuilder ks(DataType::kInt64);
+  for (int64_t i = 0; i < numbers.num_rows(); ++i) {
+    ks.AppendInt64(i % 7);
+  }
+  auto input = RecordBatch::Make(
+      Schema({{"x", DataType::kInt64}, {"g", DataType::kInt64}, {"k", DataType::kInt64}}),
+      {numbers.column(0), numbers.column(1), ks.Finish()});
+  ASSERT_TRUE(input.ok());
+
+  for (int k_width : {4, 2}) {
+    SCOPED_TRACE("by_k width " + std::to_string(k_width));
+    FlowGraph g;
+    VertexId src = g.AddIrVertex("src", FilterGt(-1), OpClass::kFilter);
+    VertexId by_g = g.AddIrVertex("by_g", CountBy("g"), OpClass::kAggregate);
+    VertexId by_k = g.AddIrVertex("by_k", CountBy("k"), OpClass::kAggregate);
+    g.vertex(src)->parallelism_hint = 2;
+    g.vertex(by_g)->parallelism_hint = 4;
+    g.vertex(by_k)->parallelism_hint = k_width;
+    ASSERT_TRUE(g.AddEdge(src, by_g, EdgeKind::kShuffle, {"g"}).ok());
+    ASSERT_TRUE(g.AddEdge(src, by_k, EdgeKind::kShuffle, {"k"}).ok());
+
+    auto physical = LowerToPhysical(g, {}, &registry_);
+    ASSERT_TRUE(physical.ok());
+    GraphExecutor executor(runtime_.get());
+    auto result = executor.RunToCompletion(
+        *physical,
+        {{src, {PutBatch(input->Slice(0, 100)), PutBatch(input->Slice(100, 100))}}}, 10000);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->tasks_submitted, 2 + 4 + k_width);
+
+    for (const auto& [sink, key] : {std::pair{by_g, "g"}, std::pair{by_k, "k"}}) {
+      auto got = SinkSortedBy(*result, sink, key);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto want = GroupAggregateBatch(*input, {key}, {{AggKind::kCount, "*", "n"}});
+      ASSERT_TRUE(want.ok());
+      auto want_sorted = SortBatch(*want, {{key, true}});
+      ASSERT_TRUE(want_sorted.ok());
+      ASSERT_EQ(got->num_rows(), want_sorted->num_rows()) << key;
+      for (int64_t i = 0; i < got->num_rows(); ++i) {
+        EXPECT_EQ(got->ColumnByName(key)->Int64At(i), want_sorted->ColumnByName(key)->Int64At(i));
+        EXPECT_EQ(got->ColumnByName("n")->Int64At(i), want_sorted->ColumnByName("n")->Int64At(i));
+      }
+    }
+  }
+}
+
+TEST_F(GraphExecTest, IdentitySourceBoundPerShardRunsNoTask) {
+  // A pass-through scan with one ref per shard hands those refs straight to
+  // its consumer; with more refs than shards it runs to concatenate them.
+  std::vector<ObjectRef> parts;
+  for (int p = 0; p < 4; ++p) {
+    parts.push_back(PutBatch(NumbersBatch(p * 10, p * 10 + 10)));
+  }
+  for (int scan_width : {4, 2}) {
+    SCOPED_TRACE("scan width " + std::to_string(scan_width));
+    FlowGraph g;
+    VertexId scan = g.AddIrVertex("scan", Identity(), OpClass::kScan);
+    VertexId f = g.AddIrVertex("filter", FilterGt(4), OpClass::kFilter);
+    g.vertex(scan)->parallelism_hint = scan_width;
+    g.vertex(f)->parallelism_hint = 1;
+    ASSERT_TRUE(g.AddEdge(scan, f, EdgeKind::kBroadcast).ok());
+    LoweringOptions options;
+    options.run_ir_passes = false;
+    auto physical = LowerToPhysical(g, options, &registry_);
+    ASSERT_TRUE(physical.ok());
+    GraphExecutor executor(runtime_.get());
+    auto result = executor.RunToCompletion(*physical, {{scan, parts}});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->tasks_submitted, scan_width == 4 ? 1 : 3);
+    auto got = SinkSortedBy(*result, f, "x");
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->num_rows(), 35);  // 5..39
   }
 }
 

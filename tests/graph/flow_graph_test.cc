@@ -147,6 +147,10 @@ TEST(OptimizeFlowGraphTest, PreservesSurroundingEdges) {
   VertexId a = g.AddIrVertex("f1", FilterFn(0));
   VertexId b = g.AddIrVertex("f2", FilterFn(1));
   VertexId c = g.AddIrVertex("agg", FilterFn(2));
+  // Intra-op thread hints survive the rebuild: the merged vertex takes src's
+  // hint, else dst's; untouched vertices keep theirs.
+  g.vertex(b)->compute_threads_hint = 3;
+  g.vertex(c)->compute_threads_hint = 5;
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   ASSERT_TRUE(g.AddEdge(b, c, EdgeKind::kShuffle, {"x"}).ok());
   auto merged = OptimizeFlowGraph(g);
@@ -155,6 +159,8 @@ TEST(OptimizeFlowGraphTest, PreservesSurroundingEdges) {
   ASSERT_EQ(g.vertices().size(), 2u);
   ASSERT_EQ(g.edges().size(), 1u);
   EXPECT_EQ(g.edges()[0].kind, EdgeKind::kShuffle);
+  EXPECT_EQ(g.vertices()[0].compute_threads_hint, 3);
+  EXPECT_EQ(g.vertices()[1].compute_threads_hint, 5);
 }
 
 }  // namespace

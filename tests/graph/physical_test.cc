@@ -65,20 +65,47 @@ TEST(PhysicalLoweringTest, VertexFunctionsRegistered) {
   EXPECT_TRUE(registry.Contains(physical->plan(v)->task_function));
 }
 
-TEST(PhysicalLoweringTest, ShuffleEdgeRegistersWriter) {
+TEST(PhysicalLoweringTest, ShuffleProducerReturnsOnePartitionPerConsumer) {
+  // Only a shuffle reads `a`: its shards return 3 partitions and no output.
   FlowGraph g;
   VertexId a = g.AddIrVertex("a", Identity());
   VertexId b = g.AddIrVertex("b", Identity());
+  g.vertex(b)->parallelism_hint = 3;
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kShuffle, {"k"}).ok());
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
   ASSERT_EQ(physical->edges.size(), 1u);
-  EXPECT_FALSE(physical->edges[0].shuffle_function.empty());
-  EXPECT_TRUE(registry.Contains(physical->edges[0].shuffle_function));
+  EXPECT_FALSE(physical->plan(a)->returns_output);
+  EXPECT_EQ(physical->plan(a)->num_returns, 3);
+  EXPECT_EQ(physical->edges[0].first_return, 0);
+  EXPECT_FALSE(physical->plan(a)->identity);  // it must run to partition
+  EXPECT_EQ(physical->plan(b)->num_returns, 1);  // the sink returns its output
+  EXPECT_TRUE(physical->plan(b)->identity);
 }
 
-TEST(PhysicalLoweringTest, ForwardEdgeHasNoWriter) {
+TEST(PhysicalLoweringTest, ShuffleOutEdgesFollowTheOutputInEdgeOrder) {
+  // `a` feeds a forward edge (reads its output) and two shuffles of
+  // different widths: returns are [output, 2 partitions, 4 partitions].
+  FlowGraph g;
+  VertexId a = g.AddIrVertex("a", Identity());
+  VertexId fwd = g.AddIrVertex("fwd", Identity());
+  VertexId s2 = g.AddIrVertex("s2", Identity());
+  VertexId s4 = g.AddIrVertex("s4", Identity());
+  g.vertex(s4)->parallelism_hint = 4;
+  ASSERT_TRUE(g.AddEdge(a, s2, EdgeKind::kShuffle, {"k"}).ok());
+  ASSERT_TRUE(g.AddEdge(a, fwd, EdgeKind::kForward).ok());
+  ASSERT_TRUE(g.AddEdge(a, s4, EdgeKind::kShuffle, {"j"}).ok());
+  FunctionRegistry registry;
+  auto physical = LowerToPhysical(g, {}, &registry);
+  ASSERT_TRUE(physical.ok());
+  EXPECT_TRUE(physical->plan(a)->returns_output);
+  EXPECT_EQ(physical->plan(a)->num_returns, 7);
+  EXPECT_EQ(physical->edges[0].first_return, 1);
+  EXPECT_EQ(physical->edges[2].first_return, 3);
+}
+
+TEST(PhysicalLoweringTest, ForwardEdgeReturnsOutputOnly) {
   FlowGraph g;
   VertexId a = g.AddIrVertex("a", Identity());
   VertexId b = g.AddIrVertex("b", Identity());
@@ -86,7 +113,9 @@ TEST(PhysicalLoweringTest, ForwardEdgeHasNoWriter) {
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
-  EXPECT_TRUE(physical->edges[0].shuffle_function.empty());
+  EXPECT_TRUE(physical->plan(a)->returns_output);
+  EXPECT_EQ(physical->plan(a)->num_returns, 1);
+  EXPECT_TRUE(physical->plan(a)->identity);
 }
 
 TEST(PhysicalLoweringTest, MissingBuiltinRejected) {
@@ -109,7 +138,7 @@ TEST(PhysicalLoweringTest, InvalidOptionsRejected) {
   EXPECT_FALSE(LowerToPhysical(g, no_backends, &registry).ok());
 }
 
-TEST(PhysicalLoweringTest, SourcesAndSinksComputed) {
+TEST(PhysicalLoweringTest, SinksComputed) {
   FlowGraph g;
   VertexId a = g.AddIrVertex("a", Identity());
   VertexId b = g.AddIrVertex("b", Identity());
@@ -117,7 +146,6 @@ TEST(PhysicalLoweringTest, SourcesAndSinksComputed) {
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
-  EXPECT_EQ(physical->Sources(), std::vector<VertexId>{a});
   EXPECT_EQ(physical->Sinks(), std::vector<VertexId>{b});
 }
 

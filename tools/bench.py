@@ -49,12 +49,14 @@ MODE_NAMES = {0: "scalar_reference", 1: "vectorized", 2: "morsel_parallel"}
 
 
 def parse_name(name):
-    """'BM_KernelGroupBy/rows:2000000/mode:1' -> (kernel, rows, mode).
+    """'BM_KernelGroupBy/rows:2000000/mode:1/real_time' -> (kernel, rows, mode).
 
     Aggregate rows ('..._mean') return None so only raw/mean-free entries
     are collected (with --repetitions we keep the '_mean' aggregate instead).
     """
-    m = re.match(r"(BM_\w+)/rows:(\d+)/mode:(\d+)(?:/iterations:\d+)?(?:_(\w+))?$", name)
+    m = re.match(
+        r"(BM_\w+)/rows:(\d+)/mode:(\d+)(?:/iterations:\d+)?(?:/real_time)?(?:_(\w+))?$", name
+    )
     if not m:
         return None
     kernel, rows, mode, agg = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
