@@ -364,7 +364,8 @@ BENCHMARK(BM_PushBatchingDelta)
     ->ArgNames({"batch"})
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace skadi

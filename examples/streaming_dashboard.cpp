@@ -33,7 +33,7 @@ int main() {
 
   StreamingOptions options;
   options.parallelism = 4;
-  auto job = StreamingJob::Start(&runtime, &registry, transform, options);
+  auto job = StreamingJob::Start(&runtime, transform, options);
   if (!job.ok()) {
     std::cerr << job.status().ToString() << "\n";
     return 1;

@@ -50,7 +50,7 @@ Result<GraphMeta> LoadGraphMeta(SkadiRuntime* runtime,
 // table (broadcast), emit per-dst contributions, aggregate by dst.
 // rank table schema: (vertex int64, share float64) where share is the value
 // each out-edge carries (rank/degree for PageRank, label for CC-min).
-Result<RecordBatch> RunContributionRound(SkadiRuntime* runtime, FunctionRegistry* registry,
+Result<RecordBatch> RunContributionRound(SkadiRuntime* runtime, const FunctionRegistry* registry,
                                          const std::vector<ObjectRef>& edge_partitions,
                                          const RecordBatch& share_table, AggKind agg,
                                          int parallelism) {
@@ -148,7 +148,7 @@ RecordBatch MakeShareTable(const std::vector<int64_t>& vertices,
 
 }  // namespace
 
-Result<RecordBatch> PageRank(SkadiRuntime* runtime, FunctionRegistry* registry,
+Result<RecordBatch> PageRank(SkadiRuntime* runtime, const FunctionRegistry* registry,
                              const std::vector<ObjectRef>& edge_partitions,
                              const PageRankOptions& options) {
   if (options.iterations < 1 || options.damping <= 0.0 || options.damping >= 1.0) {
@@ -201,7 +201,7 @@ Result<RecordBatch> PageRank(SkadiRuntime* runtime, FunctionRegistry* registry,
   return RecordBatch::Make(schema, {vs.Finish(), rs.Finish()});
 }
 
-Result<RecordBatch> ConnectedComponents(SkadiRuntime* runtime, FunctionRegistry* registry,
+Result<RecordBatch> ConnectedComponents(SkadiRuntime* runtime, const FunctionRegistry* registry,
                                         const std::vector<ObjectRef>& edge_partitions,
                                         const ConnectedComponentsOptions& options) {
   SKADI_ASSIGN_OR_RETURN(GraphMeta meta, LoadGraphMeta(runtime, edge_partitions));

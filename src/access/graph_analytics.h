@@ -23,7 +23,7 @@ struct PageRankOptions {
 // Edge list: columns (src: int64, dst: int64). Returns (vertex, rank).
 // `edge_partitions` are IPC-serialized batch refs already in the caching
 // layer (one per partition).
-Result<RecordBatch> PageRank(SkadiRuntime* runtime, FunctionRegistry* registry,
+Result<RecordBatch> PageRank(SkadiRuntime* runtime, const FunctionRegistry* registry,
                              const std::vector<ObjectRef>& edge_partitions,
                              const PageRankOptions& options);
 
@@ -35,7 +35,7 @@ struct ConnectedComponentsOptions {
 // Label propagation over an undirected interpretation of the edge list.
 // Returns (vertex, component) where component is the minimum vertex id
 // reachable. Converges when labels stop changing.
-Result<RecordBatch> ConnectedComponents(SkadiRuntime* runtime, FunctionRegistry* registry,
+Result<RecordBatch> ConnectedComponents(SkadiRuntime* runtime, const FunctionRegistry* registry,
                                         const std::vector<ObjectRef>& edge_partitions,
                                         const ConnectedComponentsOptions& options);
 

@@ -46,14 +46,13 @@ std::shared_ptr<IrFunction> BuildLossIr(bool logistic) {
 
 namespace {
 
+// Mints gang-group names, one per epoch that gangs its gradient tasks.
 std::atomic<uint64_t> g_ml_counter{1};
 
-// Registers a task wrapping an IrFunction over (X, y, W) tensor buffers.
-Result<std::string> RegisterIrTask(FunctionRegistry* registry, const std::string& base,
-                                   std::shared_ptr<IrFunction> ir) {
-  std::string name = base + "." + std::to_string(g_ml_counter.fetch_add(1));
-  SKADI_RETURN_IF_ERROR(registry->Register(
-      name, [ir](TaskContext&, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
+// A task body wrapping an IrFunction over (X, y, W) tensor buffers.
+std::shared_ptr<const TaskFunction> IrTaskBody(std::shared_ptr<IrFunction> ir) {
+  return std::make_shared<const TaskFunction>(
+      [ir](TaskContext&, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
         if (args.size() != ir->params().size()) {
           return Status::InvalidArgument("ml task expects " +
                                          std::to_string(ir->params().size()) + " args");
@@ -70,13 +69,12 @@ Result<std::string> RegisterIrTask(FunctionRegistry* registry, const std::string
           return std::vector<Buffer>{scalar.Finish()};
         }
         return std::vector<Buffer>{SerializeTensor(std::get<Tensor>(outputs[0]))};
-      }));
-  return name;
+      });
 }
 
 }  // namespace
 
-Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
+Result<MlModel> TrainModel(SkadiRuntime* runtime,
                            const std::vector<std::pair<ObjectRef, ObjectRef>>& shards,
                            int64_t feature_dim, const MlTrainOptions& options) {
   if (shards.empty()) {
@@ -86,10 +84,8 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
     return Status::InvalidArgument("invalid training options");
   }
 
-  std::shared_ptr<IrFunction> grad_ir = BuildGradientIr(options.logistic);
-  std::shared_ptr<IrFunction> loss_ir = BuildLossIr(options.logistic);
-  SKADI_ASSIGN_OR_RETURN(std::string grad_task, RegisterIrTask(registry, "ml.grad", grad_ir));
-  SKADI_ASSIGN_OR_RETURN(std::string loss_task, RegisterIrTask(registry, "ml.loss", loss_ir));
+  std::shared_ptr<const TaskFunction> grad_body = IrTaskBody(BuildGradientIr(options.logistic));
+  std::shared_ptr<const TaskFunction> loss_body = IrTaskBody(BuildLossIr(options.logistic));
 
   // Shard row counts (for gradient normalization).
   int64_t total_rows = 0;
@@ -115,20 +111,16 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
   // Parameter-server mode: weights live in an actor; "get" snapshots them,
   // "apply" folds one shard gradient in (serially, actor semantics).
   ActorId ps;
-  std::string ps_get_task;
-  std::string ps_apply_task;
+  std::shared_ptr<const TaskFunction> ps_get_body;
+  std::shared_ptr<const TaskFunction> ps_apply_body;
   if (options.parameter_server) {
     const double step = options.learning_rate / static_cast<double>(total_rows);
-    ps_get_task = "ml.ps.get." + std::to_string(g_ml_counter.fetch_add(1));
-    SKADI_RETURN_IF_ERROR(registry->Register(
-        ps_get_task,
+    ps_get_body = std::make_shared<const TaskFunction>(
         [](TaskContext& ctx, std::vector<Buffer>&) -> Result<std::vector<Buffer>> {
           auto* weights = static_cast<Tensor*>(ctx.actor_state->get());
           return std::vector<Buffer>{SerializeTensor(*weights)};
-        }));
-    ps_apply_task = "ml.ps.apply." + std::to_string(g_ml_counter.fetch_add(1));
-    SKADI_RETURN_IF_ERROR(registry->Register(
-        ps_apply_task,
+        });
+    ps_apply_body = std::make_shared<const TaskFunction>(
         [step](TaskContext& ctx, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
           auto* weights = static_cast<Tensor*>(ctx.actor_state->get());
           SKADI_ASSIGN_OR_RETURN(Tensor grad, DeserializeTensor(args[0]));
@@ -136,7 +128,7 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
           BufferBuilder ack;
           ack.AppendI64(1);
           return std::vector<Buffer>{ack.Finish()};
-        }));
+        });
     SKADI_ASSIGN_OR_RETURN(
         ps, runtime->CreateActor(runtime->head(),
                                  std::make_shared<Tensor>(model.weights)));
@@ -146,7 +138,8 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
     ObjectRef w_ref;
     if (options.parameter_server) {
       TaskSpec get_spec;
-      get_spec.function = ps_get_task;
+      get_spec.function = "ml.ps.get";
+      get_spec.body = ps_get_body;
       get_spec.num_returns = 1;
       SKADI_ASSIGN_OR_RETURN(auto snap, runtime->SubmitActorTask(ps, std::move(get_spec)));
       w_ref = snap[0];
@@ -161,7 +154,8 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
     std::vector<ObjectRef> grad_refs;
     for (const auto& [x_ref, y_ref] : shards) {
       TaskSpec spec;
-      spec.function = grad_task;
+      spec.function = "ml.grad";
+      spec.body = grad_body;
       spec.args = {TaskArg::Ref(x_ref), TaskArg::Ref(y_ref), TaskArg::Ref(w_ref)};
       spec.num_returns = 1;
       spec.op_class = OpClass::kMatmul;
@@ -180,7 +174,8 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
       std::vector<ObjectRef> acks;
       for (const ObjectRef& grad_ref : grad_refs) {
         TaskSpec apply_spec;
-        apply_spec.function = ps_apply_task;
+        apply_spec.function = "ml.ps.apply";
+        apply_spec.body = ps_apply_body;
         apply_spec.args = {TaskArg::Ref(grad_ref)};
         apply_spec.num_returns = 1;
         SKADI_ASSIGN_OR_RETURN(auto ack,
@@ -190,7 +185,8 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
       SKADI_RETURN_IF_ERROR(runtime->Wait(acks, 30000));
       // Refresh the driver's copy for the loss probe / final result.
       TaskSpec get_spec;
-      get_spec.function = ps_get_task;
+      get_spec.function = "ml.ps.get";
+      get_spec.body = ps_get_body;
       get_spec.num_returns = 1;
       SKADI_ASSIGN_OR_RETURN(auto snap, runtime->SubmitActorTask(ps, std::move(get_spec)));
       SKADI_ASSIGN_OR_RETURN(Buffer w_buffer, runtime->Get(snap[0]));
@@ -212,7 +208,8 @@ Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
 
     // Loss on shard 0 (cheap progress signal).
     TaskSpec loss_spec;
-    loss_spec.function = loss_task;
+    loss_spec.function = "ml.loss";
+    loss_spec.body = loss_body;
     SKADI_ASSIGN_OR_RETURN(ObjectRef w2_ref, runtime->Put(SerializeTensor(model.weights)));
     loss_spec.args = {TaskArg::Ref(shards[0].first), TaskArg::Ref(shards[0].second),
                       TaskArg::Ref(w2_ref)};

@@ -48,9 +48,8 @@ std::shared_ptr<IrFunction> BuildGradientIr(bool logistic);
 std::shared_ptr<IrFunction> BuildLossIr(bool logistic);
 
 // Trains on data sharded as (X_i, y_i) tensor pairs already resident in the
-// caching layer. Registers its task functions into `registry` (idempotent
-// per call via unique names).
-Result<MlModel> TrainModel(SkadiRuntime* runtime, FunctionRegistry* registry,
+// caching layer. Its task bodies travel on the specs; nothing is registered.
+Result<MlModel> TrainModel(SkadiRuntime* runtime,
                            const std::vector<std::pair<ObjectRef, ObjectRef>>& shards,
                            int64_t feature_dim, const MlTrainOptions& options);
 

@@ -1,6 +1,5 @@
 #include "src/access/streaming.h"
 
-#include <atomic>
 #include <map>
 
 #include "src/common/hash.h"
@@ -11,8 +10,6 @@
 namespace skadi {
 
 namespace {
-
-std::atomic<uint64_t> g_stream_counter{1};
 
 // Per-partition running aggregates, held as actor state.
 struct StreamState {
@@ -39,41 +36,33 @@ Result<std::pair<const Column*, const Column*>> KeyValueColumns(
 }  // namespace
 
 Result<std::unique_ptr<StreamingJob>> StreamingJob::Start(
-    SkadiRuntime* runtime, FunctionRegistry* registry,
-    std::shared_ptr<IrFunction> transform, StreamingOptions options) {
+    SkadiRuntime* runtime, std::shared_ptr<IrFunction> transform,
+    StreamingOptions options) {
   if (options.parallelism < 1) {
     return Status::InvalidArgument("parallelism must be >= 1");
   }
   auto job = std::unique_ptr<StreamingJob>(new StreamingJob());
   job->runtime_ = runtime;
-  job->registry_ = registry;
   job->options_ = options;
-  job->transform_ = std::move(transform);
-
-  const uint64_t id = g_stream_counter.fetch_add(1);
   StreamingOptions opts = options;  // captured by tasks
 
   // Stateless transform task.
-  if (job->transform_ != nullptr) {
-    if (job->transform_->params().size() != 1) {
+  if (transform != nullptr) {
+    if (transform->params().size() != 1) {
       return Status::InvalidArgument("stream transform must take one table");
     }
-    job->transform_task_ = "stream.transform." + std::to_string(id);
-    std::shared_ptr<IrFunction> ir = job->transform_;
-    SKADI_RETURN_IF_ERROR(registry->Register(
-        job->transform_task_,
-        [ir](TaskContext&, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
+    job->transform_body_ = std::make_shared<const TaskFunction>(
+        [ir = std::move(transform)](TaskContext&, std::vector<Buffer>& args)
+            -> Result<std::vector<Buffer>> {
           SKADI_ASSIGN_OR_RETURN(RecordBatch batch, DeserializeBatchIpc(args[0]));
           SKADI_ASSIGN_OR_RETURN(auto out, EvalIrFunction(*ir, {std::move(batch)}));
           return std::vector<Buffer>{SerializeBatchIpc(std::get<RecordBatch>(out[0]))};
-        }));
+        });
   }
 
   // Stateful update task: folds one key-partition of a micro-batch into the
   // actor's running aggregates.
-  job->update_task_ = "stream.update." + std::to_string(id);
-  SKADI_RETURN_IF_ERROR(registry->Register(
-      job->update_task_,
+  job->update_body_ = std::make_shared<const TaskFunction>(
       [opts](TaskContext& ctx, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
         if (ctx.actor_state == nullptr) {
           return Status::FailedPrecondition("stream update must run on an actor");
@@ -99,12 +88,10 @@ Result<std::unique_ptr<StreamingJob>> StreamingJob::Start(
         BufferBuilder ack;
         ack.AppendI64(batch.num_rows());
         return std::vector<Buffer>{ack.Finish()};
-      }));
+      });
 
   // Snapshot task: serializes the partition's running aggregates.
-  job->snapshot_task_ = "stream.snapshot." + std::to_string(id);
-  SKADI_RETURN_IF_ERROR(registry->Register(
-      job->snapshot_task_,
+  job->snapshot_body_ = std::make_shared<const TaskFunction>(
       [](TaskContext& ctx, std::vector<Buffer>&) -> Result<std::vector<Buffer>> {
         if (ctx.actor_state == nullptr) {
           return Status::FailedPrecondition("stream snapshot must run on an actor");
@@ -127,7 +114,7 @@ Result<std::unique_ptr<StreamingJob>> StreamingJob::Start(
             RecordBatch batch,
             RecordBatch::Make(schema, {keys.Finish(), sums.Finish(), counts.Finish()}));
         return std::vector<Buffer>{SerializeBatchIpc(batch)};
-      }));
+      });
 
   // Spread one state actor per partition across the compute nodes.
   std::vector<NodeId> nodes = runtime->cluster().ComputeNodes();
@@ -144,9 +131,10 @@ Result<std::unique_ptr<StreamingJob>> StreamingJob::Start(
 Status StreamingJob::PushBatch(const RecordBatch& batch) {
   // 1. Stateless transform (as a runtime task, so it can land anywhere).
   RecordBatch transformed = batch;
-  if (!transform_task_.empty()) {
+  if (transform_body_ != nullptr) {
     TaskSpec spec;
-    spec.function = transform_task_;
+    spec.function = "stream.transform";
+    spec.body = transform_body_;
     spec.args = {TaskArg::Value(SerializeBatchIpc(batch))};
     spec.num_returns = 1;
     spec.op_class = OpClass::kProject;
@@ -166,7 +154,8 @@ Status StreamingJob::PushBatch(const RecordBatch& batch) {
       continue;
     }
     TaskSpec spec;
-    spec.function = update_task_;
+    spec.function = "stream.update";
+    spec.body = update_body_;
     spec.args = {TaskArg::Value(SerializeBatchIpc(partitions[p]))};
     spec.num_returns = 1;
     spec.op_class = OpClass::kAggregate;
@@ -182,7 +171,8 @@ Result<RecordBatch> StreamingJob::Snapshot() {
   std::vector<RecordBatch> pieces;
   for (ActorId actor : actors_) {
     TaskSpec spec;
-    spec.function = snapshot_task_;
+    spec.function = "stream.snapshot";
+    spec.body = snapshot_body_;
     spec.num_returns = 1;
     SKADI_ASSIGN_OR_RETURN(auto refs, runtime_->SubmitActorTask(actor, std::move(spec)));
     SKADI_ASSIGN_OR_RETURN(Buffer buffer, runtime_->Get(refs[0]));

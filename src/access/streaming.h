@@ -35,8 +35,8 @@ class StreamingJob {
   // identity. The transformed batch must contain the configured key (int64)
   // and value (numeric) columns.
   static Result<std::unique_ptr<StreamingJob>> Start(
-      SkadiRuntime* runtime, FunctionRegistry* registry,
-      std::shared_ptr<IrFunction> transform, StreamingOptions options = {});
+      SkadiRuntime* runtime, std::shared_ptr<IrFunction> transform,
+      StreamingOptions options = {});
 
   // Feeds one micro-batch; returns once state updates are applied (synchronous
   // micro-batch barrier, as in discretized streams).
@@ -51,12 +51,12 @@ class StreamingJob {
   StreamingJob() = default;
 
   SkadiRuntime* runtime_ = nullptr;
-  FunctionRegistry* registry_ = nullptr;
   StreamingOptions options_;
-  std::shared_ptr<IrFunction> transform_;
-  std::string transform_task_;
-  std::string update_task_;
-  std::string snapshot_task_;
+  // Task bodies, built once per job and put on every spec it submits; the
+  // transform body is null for an identity transform.
+  std::shared_ptr<const TaskFunction> transform_body_;
+  std::shared_ptr<const TaskFunction> update_body_;
+  std::shared_ptr<const TaskFunction> snapshot_body_;
   std::vector<ActorId> actors_;
   int64_t batches_processed_ = 0;
 };

@@ -558,12 +558,19 @@ Status CachingLayer::EnableSpillToBlade(NodeId node) {
     if (!blade_store->Put(id, data).ok()) {
       return false;
     }
-    MutexLock lock2(mu_);
-    auto dit = directory_.find(id);
-    if (dit != directory_.end()) {
-      dit->second.locations.erase(node);
-      dit->second.locations.insert(best_blade);
+    {
+      MutexLock lock2(mu_);
+      auto dit = directory_.find(id);
+      if (dit != directory_.end()) {
+        dit->second.locations.erase(node);
+        dit->second.locations.insert(best_blade);
+        return true;
+      }
     }
+    // No directory entry (deleted while spilling, or never put through this
+    // layer): nothing would ever free the blade copy, so drop it now, after
+    // releasing mu_ (store locks order before the directory lock).
+    (void)blade_store->Delete(id);
     return true;
   });
   return Status::Ok();

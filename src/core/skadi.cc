@@ -328,7 +328,7 @@ Result<MlModel> Skadi::TrainModel(const std::string& table,
     shards.emplace_back(x_ref, y_ref);
   }
 
-  return ::skadi::TrainModel(runtime_.get(), &registry_, shards, d, options);
+  return ::skadi::TrainModel(runtime_.get(), shards, d, options);
 }
 
 Result<RecordBatch> Skadi::PageRank(const std::string& edges_table,

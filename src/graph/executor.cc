@@ -110,7 +110,8 @@ Result<GraphRunResult> GraphExecutor::Run(
       }
 
       spec.args[0] = TaskArg::Value(MakeVertexArgHeader(group_sizes));
-      spec.function = plan.task_function;
+      spec.function = plan.name;
+      spec.body = plan.body;
       spec.num_returns = plan.num_returns;
       spec.op_class = plan.op_class;
       spec.required_device = plan.backend;

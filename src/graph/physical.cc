@@ -1,7 +1,6 @@
 #include "src/graph/physical.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <sstream>
 
@@ -14,8 +13,6 @@
 namespace skadi {
 
 namespace {
-
-std::atomic<uint64_t> g_lowering_counter{1};
 
 Result<std::vector<std::vector<Buffer>>> SplitGroups(std::vector<Buffer>& args) {
   if (args.empty()) {
@@ -173,7 +170,7 @@ std::string PhysicalGraph::ToString() const {
 }
 
 Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOptions& options,
-                                      FunctionRegistry* registry) {
+                                      const FunctionRegistry* registry) {
   SKADI_RETURN_IF_ERROR(graph.Validate());
   if (options.default_parallelism < 1) {
     return Status::InvalidArgument("default_parallelism must be >= 1");
@@ -183,7 +180,6 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
   }
 
   SKADI_ASSIGN_OR_RETURN(std::vector<VertexId> order, graph.TopoOrder());
-  const uint64_t lowering_id = g_lowering_counter.fetch_add(1);
 
   PhysicalGraph physical;
   auto parallelism_of = [&](const FlowVertex& v) {
@@ -265,10 +261,8 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
         plan.backend = best;
       }
 
-      plan.task_function = "vtx." + std::to_string(lowering_id) + "." + vid.ToString();
       const int threads_hint = vertex->compute_threads_hint;
-      SKADI_RETURN_IF_ERROR(registry->Register(
-          plan.task_function,
+      plan.body = std::make_shared<const TaskFunction>(
           [ir, threads_hint, returns_output = plan.returns_output, shuffles](
               TaskContext& ctx, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
@@ -303,22 +297,20 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             SKADI_RETURN_IF_ERROR(
                 AppendShufflePartitions(outputs[0], shuffles, eval_options.compute, returns));
             return returns;
-          }));
+          });
     } else {
-      // Builtin vertex: delegate to the registered handcrafted op, after the
-      // same group-merge step so fan-in edges behave identically, then write
-      // its shuffles from the op's one output batch.
+      // Builtin vertex: delegate to the registered handcrafted op, resolved
+      // once here, after the same group-merge step so fan-in edges behave
+      // identically, then write its shuffles from the op's one output batch.
       std::string builtin = vertex->builtin;
-      if (!registry->Contains(builtin)) {
+      Result<std::shared_ptr<const TaskFunction>> op = registry->Lookup(builtin);
+      if (!op.ok()) {
         return Status::NotFound("builtin op '" + builtin + "' of vertex '" + vertex->name +
                                 "' not registered");
       }
       plan.backend = vertex->backend_hint;
-      plan.task_function = "vtx." + std::to_string(lowering_id) + "." + vid.ToString();
-      FunctionRegistry* reg = registry;
-      SKADI_RETURN_IF_ERROR(registry->Register(
-          plan.task_function,
-          [builtin, reg, returns_output = plan.returns_output, shuffles](
+      plan.body = std::make_shared<const TaskFunction>(
+          [builtin, fn = std::move(op).value(), returns_output = plan.returns_output, shuffles](
               TaskContext& ctx, std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
             std::vector<Buffer> merged;
@@ -327,7 +319,6 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
               SKADI_ASSIGN_OR_RETURN(Buffer m, MergeGroup(group));
               merged.push_back(std::move(m));
             }
-            SKADI_ASSIGN_OR_RETURN(const TaskFunction* fn, reg->Lookup(builtin));
             SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> returns, (*fn)(ctx, merged));
             if (shuffles.empty()) {
               return returns;
@@ -343,7 +334,7 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             SKADI_RETURN_IF_ERROR(
                 AppendShufflePartitions(IrRuntimeValue(std::move(table)), shuffles, copts, returns));
             return returns;
-          }));
+          });
     }
     physical.vertices.push_back(std::move(plan));
   }

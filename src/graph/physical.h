@@ -3,15 +3,16 @@
 // Lowering (1) picks a hardware backend for every vertex (cost model over
 // the vertex's op class, or the vertex's hint), (2) decides each vertex's
 // degree of parallelism (hint or default — the subscripts in Figure 2), and
-// (3) registers one executable task function per vertex (IR interpreter or
-// builtin delegate). The producer writes its own shuffles: a shard's task
-// returns its output only when a forward or broadcast edge, or the sink,
-// reads it, and then one hash partition per consumer shard for each shuffle
-// out-edge, in edge order.
+// (3) builds one task body per vertex (IR interpreter or builtin delegate),
+// which the executor puts on every shard's spec. The producer writes its own
+// shuffles: a shard's task returns its output only when a forward or
+// broadcast edge, or the sink, reads it, and then one hash partition per
+// consumer shard for each shuffle out-edge, in edge order.
 #ifndef SRC_GRAPH_PHYSICAL_H_
 #define SRC_GRAPH_PHYSICAL_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,8 +30,9 @@ struct PhysicalVertexPlan {
   OpClass op_class = OpClass::kGeneric;
   // Number of logical inputs (IR parameter count; 1 for builtin vertices).
   int num_inputs = 1;
-  // Registered task function executing one shard of this vertex.
-  std::string task_function;
+  // Body executing one shard of this vertex; the executor sets it on every
+  // shard's spec.
+  std::shared_ptr<const TaskFunction> body;
   // A shard task returns its output first when `returns_output`, then each
   // shuffle out-edge's partitions (PhysicalEdgePlan::first_return).
   bool returns_output = true;
@@ -73,11 +75,11 @@ struct LoweringOptions {
   bool run_ir_passes = true;
 };
 
-// Lowers the (validated) logical graph; registers the vertex task functions
-// into `registry`. The graph's IR functions are shared (not
-// copied), so pass effects persist.
+// Lowers the (validated) logical graph, building each vertex's task body.
+// `registry` is only read: a builtin vertex resolves its op there once, here.
+// The graph's IR functions are shared (not copied), so pass effects persist.
 Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOptions& options,
-                                      FunctionRegistry* registry);
+                                      const FunctionRegistry* registry);
 
 // Builds the args[0] header a vertex task expects: one group per vertex
 // input, `group_sizes[i]` buffers in group i.

@@ -8,10 +8,9 @@
 
 namespace skadi {
 
-Raylet::Raylet(const ClusterNode& node, FunctionRegistry* registry, VirtualClock* clock,
-               Callbacks callbacks, int num_workers)
+Raylet::Raylet(const ClusterNode& node, VirtualClock* clock, Callbacks callbacks,
+               int num_workers)
     : node_(node),
-      registry_(registry),
       clock_(clock),
       callbacks_(std::move(callbacks)),
       workers_("raylet-workers") {
@@ -167,9 +166,10 @@ void Raylet::RunTask(const TaskSpec& spec, ActorRecord* actor) {
                                                          input_bytes);
   clock_->Charge(compute_nanos);
 
-  Result<const TaskFunction*> fn = registry_->Lookup(spec.function);
-  if (!fn.ok()) {
-    callbacks_.fail(spec, fn.status(), node_.id);
+  if (spec.body == nullptr) {
+    callbacks_.fail(spec,
+                    Status::InvalidArgument("task '" + spec.function + "' carries no body"),
+                    node_.id);
     return;
   }
 
@@ -196,7 +196,7 @@ void Raylet::RunTask(const TaskSpec& spec, ActorRecord* actor) {
       }
       ctx.actor_state = &actor->state;
     }
-    return (**fn)(ctx, args);
+    return (*spec.body)(ctx, args);
   }();
 
   if (!outputs.ok()) {

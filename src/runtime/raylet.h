@@ -1,7 +1,8 @@
 // Raylet: the per-node daemon of the stateful serverless runtime. Runs a
 // worker pool, resolves task arguments (through runtime-supplied callbacks
 // that implement the pull/push future protocols), charges modelled compute
-// time, executes task bodies, and hands outputs back to the runtime.
+// time, runs the body each spec carries, and hands outputs back to the
+// runtime. It never resolves a function name: Submit did that once.
 //
 // The same class serves all three deployments from the paper: a server
 // raylet, a raylet offloaded to a DPU (Gen-1), and a device-resident raylet
@@ -49,8 +50,7 @@ class Raylet {
     std::function<void(const TaskSpec& spec, const Status& status, NodeId at)> fail;
   };
 
-  Raylet(const ClusterNode& node, FunctionRegistry* registry, VirtualClock* clock,
-         Callbacks callbacks, int num_workers);
+  Raylet(const ClusterNode& node, VirtualClock* clock, Callbacks callbacks, int num_workers);
   ~Raylet();
 
   Raylet(const Raylet&) = delete;
@@ -104,7 +104,6 @@ class Raylet {
 
   ClusterNode node_;
   SkadiRuntime* runtime_ = nullptr;
-  FunctionRegistry* registry_;
   VirtualClock* clock_;
   Callbacks callbacks_;
   // Worker pool as a reactor: task readiness is the ready-queue, so the

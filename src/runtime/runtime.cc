@@ -183,7 +183,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   std::shared_ptr<GetOp> pin_;
 };
 
-SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
+SkadiRuntime::SkadiRuntime(Cluster* cluster, const FunctionRegistry* registry,
                            RuntimeOptions options)
     : cluster_(cluster),
       registry_(registry),
@@ -237,8 +237,7 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
     callbacks.fail = [this](const TaskSpec& spec, const Status& status, NodeId at) {
       FailTask(spec, status, at);
     };
-    raylets_[node.id] = std::make_unique<Raylet>(node, registry_,
-                                                 &cluster_->fabric().clock(),
+    raylets_[node.id] = std::make_unique<Raylet>(node, &cluster_->fabric().clock(),
                                                  std::move(callbacks), node.default_workers);
     schedulable.push_back(
         SchedulableNode{node.id, node.device.kind, node.dpu, node.default_workers});
@@ -514,8 +513,8 @@ int SkadiRuntime::ControlMessage(NodeId from, NodeId to, int64_t payload_bytes) 
 }
 
 Result<std::vector<ObjectRef>> SkadiRuntime::Submit(TaskSpec spec) {
-  if (!registry_->Contains(spec.function)) {
-    return Status::NotFound("function '" + spec.function + "' not registered");
+  if (spec.body == nullptr) {
+    SKADI_ASSIGN_OR_RETURN(spec.body, registry_->Lookup(spec.function));
   }
   if (spec.num_returns < 0) {
     return Status::InvalidArgument("num_returns must be >= 0");

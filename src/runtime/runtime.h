@@ -59,7 +59,7 @@ struct RuntimeOptions {
 
 class SkadiRuntime {
  public:
-  SkadiRuntime(Cluster* cluster, FunctionRegistry* registry, RuntimeOptions options = {});
+  SkadiRuntime(Cluster* cluster, const FunctionRegistry* registry, RuntimeOptions options = {});
   ~SkadiRuntime();
 
   SkadiRuntime(const SkadiRuntime&) = delete;
@@ -68,7 +68,9 @@ class SkadiRuntime {
   // --- Distributed task API ---
 
   // Submits a task; allocates and returns one ObjectRef per declared return.
-  // spec.id/returns/owner are filled in here.
+  // spec.id/returns/owner are filled in here. A spec without a body names a
+  // registered function: this is the one place that name is resolved
+  // (NotFound when nothing is registered under it).
   Result<std::vector<ObjectRef>> Submit(TaskSpec spec);
 
   // Stores a driver-side value into the caching layer at the head node.
@@ -183,7 +185,7 @@ class SkadiRuntime {
   void SweepDeadlines(uint64_t gen) EXCLUDES(ops_mu_);
 
   Cluster* cluster_;
-  FunctionRegistry* registry_;
+  const FunctionRegistry* registry_;
   RuntimeOptions options_;
 
   std::unique_ptr<Scheduler> scheduler_;

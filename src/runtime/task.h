@@ -54,13 +54,45 @@ class TaskArg {
   std::optional<ObjectRef> ref_;
 };
 
+// Execution-time context handed to the function body.
+struct TaskContext {
+  TaskId task;
+  JobId job;
+  NodeId node;
+  DeviceSpec device;
+  SkadiRuntime* runtime = nullptr;
+  // Intra-task compute budget: how many threads the task body may hand to
+  // morsel-parallel kernels (ComputeOptions::num_threads). Set by the raylet
+  // from its worker-pool width; deliberately not a live load measure so task
+  // results stay deterministic run to run.
+  int compute_threads = 1;
+  // Non-null for actor tasks: the actor's mutable state cell.
+  std::shared_ptr<void>* actor_state = nullptr;
+  // The executing task's span (child of the submit span); bodies that start
+  // their own spans while the raylet's ScopedContext is installed parent
+  // here automatically, this field is for explicit cross-hop hand-offs.
+  trace::Context trace_ctx;
+};
+
+// A task body: consumes materialized argument buffers, returns output
+// buffers (must produce exactly `num_returns`).
+using TaskFunction =
+    std::function<Result<std::vector<Buffer>>(TaskContext&, std::vector<Buffer>&)>;
+
 // The full description of one task invocation. Specs are kept by the driver
 // as lineage: re-submitting a spec re-produces its outputs (§2.1 failure
 // handling option 1).
 struct TaskSpec {
   TaskId id;
   JobId job;
+  // Readable name for logs and errors. A spec that arrives at Submit with no
+  // body names a registered process-lifetime function, which Submit resolves
+  // into `body` once; the raylet only ever runs `body`.
   std::string function;
+  // The code this task runs. Per-call code (a lowered vertex, an ML or
+  // streaming step) builds its closure here directly, so nothing is
+  // registered per query and lineage re-execution needs no name table.
+  std::shared_ptr<const TaskFunction> body;
   std::vector<TaskArg> args;
   int num_returns = 1;
   // Pre-allocated output ids (the ownership protocol: the submitting owner
@@ -104,64 +136,35 @@ struct TaskSpec {
 // raylet's work queue all share it (DESIGN.md §5).
 using TaskSpecPtr = std::shared_ptr<const TaskSpec>;
 
-// Execution-time context handed to the function body.
-struct TaskContext {
-  TaskId task;
-  JobId job;
-  NodeId node;
-  DeviceSpec device;
-  SkadiRuntime* runtime = nullptr;
-  // Intra-task compute budget: how many threads the task body may hand to
-  // morsel-parallel kernels (ComputeOptions::num_threads). Set by the raylet
-  // from its worker-pool width; deliberately not a live load measure so task
-  // results stay deterministic run to run.
-  int compute_threads = 1;
-  // Non-null for actor tasks: the actor's mutable state cell.
-  std::shared_ptr<void>* actor_state = nullptr;
-  // The executing task's span (child of the submit span); bodies that start
-  // their own spans while the raylet's ScopedContext is installed parent
-  // here automatically, this field is for explicit cross-hop hand-offs.
-  trace::Context trace_ctx;
-};
-
-// A task body: consumes materialized argument buffers, returns output
-// buffers (must produce exactly `num_returns`).
-using TaskFunction =
-    std::function<Result<std::vector<Buffer>>(TaskContext&, std::vector<Buffer>&)>;
-
-// Process-wide registry mapping function names to bodies. Registered once at
-// startup (all emulated nodes share the binary, as containers would share an
-// image).
+// Process-wide registry mapping names to the process-lifetime functions a
+// caller may submit by name. Registered once at startup (all emulated nodes
+// share the binary, as containers would share an image); per-call code puts
+// its body on the spec instead.
 class FunctionRegistry {
  public:
   Status Register(const std::string& name, TaskFunction fn) {
     MutexLock lock(mu_);
-    auto [it, inserted] = functions_.emplace(name, std::move(fn));
+    auto [it, inserted] =
+        functions_.emplace(name, std::make_shared<const TaskFunction>(std::move(fn)));
     if (!inserted) {
       return Status::AlreadyExists("function '" + name + "' already registered");
     }
     return Status::Ok();
   }
 
-  // The returned pointer stays valid for the registry's lifetime: map nodes
-  // never move and nothing is ever erased.
-  Result<const TaskFunction*> Lookup(const std::string& name) const {
+  Result<std::shared_ptr<const TaskFunction>> Lookup(const std::string& name) const {
     MutexLock lock(mu_);
     auto it = functions_.find(name);
     if (it == functions_.end()) {
       return Status::NotFound("function '" + name + "' not registered");
     }
-    return &it->second;
-  }
-
-  bool Contains(const std::string& name) const {
-    MutexLock lock(mu_);
-    return functions_.count(name) > 0;
+    return it->second;
   }
 
  private:
   mutable Mutex mu_;
-  std::unordered_map<std::string, TaskFunction> functions_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::shared_ptr<const TaskFunction>> functions_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace skadi

@@ -47,7 +47,7 @@ class StreamingTest : public ::testing::Test {
 };
 
 TEST_F(StreamingTest, RunningAggregatesAccumulateAcrossBatches) {
-  auto job = StreamingJob::Start(runtime_.get(), &registry_, nullptr);
+  auto job = StreamingJob::Start(runtime_.get(), nullptr);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
 
   ASSERT_TRUE((*job)->PushBatch(MicroBatch({{1, 10.0}, {2, 5.0}, {1, 2.0}})).ok());
@@ -66,7 +66,7 @@ TEST_F(StreamingTest, RunningAggregatesAccumulateAcrossBatches) {
 TEST_F(StreamingTest, SnapshotMatchesBatchReference) {
   // Many random micro-batches: the streaming state must equal a batch
   // group-by over the concatenation.
-  auto job = StreamingJob::Start(runtime_.get(), &registry_, nullptr);
+  auto job = StreamingJob::Start(runtime_.get(), nullptr);
   ASSERT_TRUE(job.ok());
 
   Rng rng(77);
@@ -103,7 +103,7 @@ TEST_F(StreamingTest, TransformAppliesBeforeStateUpdate) {
        {Expr::Binary(BinaryOp::kMul, Expr::Col("value"), Expr::Float(2.0)), "value"}});
   transform->SetReturns({projected});
 
-  auto job = StreamingJob::Start(runtime_.get(), &registry_, transform);
+  auto job = StreamingJob::Start(runtime_.get(), transform);
   ASSERT_TRUE(job.ok());
   ASSERT_TRUE((*job)->PushBatch(MicroBatch({{0, 100.0}, {1, 3.0}})).ok());
 
@@ -115,7 +115,7 @@ TEST_F(StreamingTest, TransformAppliesBeforeStateUpdate) {
 TEST_F(StreamingTest, PartitionsSplitKeysDisjointly) {
   StreamingOptions options;
   options.parallelism = 4;
-  auto job = StreamingJob::Start(runtime_.get(), &registry_, nullptr, options);
+  auto job = StreamingJob::Start(runtime_.get(), nullptr, options);
   ASSERT_TRUE(job.ok());
   std::vector<std::pair<int64_t, double>> rows;
   for (int64_t k = 0; k < 32; ++k) {
@@ -131,7 +131,7 @@ TEST_F(StreamingTest, PartitionsSplitKeysDisjointly) {
 }
 
 TEST_F(StreamingTest, EmptySnapshotBeforeData) {
-  auto job = StreamingJob::Start(runtime_.get(), &registry_, nullptr);
+  auto job = StreamingJob::Start(runtime_.get(), nullptr);
   ASSERT_TRUE(job.ok());
   auto snapshot = (*job)->Snapshot();
   ASSERT_TRUE(snapshot.ok());
@@ -141,11 +141,11 @@ TEST_F(StreamingTest, EmptySnapshotBeforeData) {
 TEST_F(StreamingTest, InvalidOptionsRejected) {
   StreamingOptions bad;
   bad.parallelism = 0;
-  EXPECT_FALSE(StreamingJob::Start(runtime_.get(), &registry_, nullptr, bad).ok());
+  EXPECT_FALSE(StreamingJob::Start(runtime_.get(), nullptr, bad).ok());
 }
 
 TEST_F(StreamingTest, MissingKeyColumnFailsBatch) {
-  auto job = StreamingJob::Start(runtime_.get(), &registry_, nullptr);
+  auto job = StreamingJob::Start(runtime_.get(), nullptr);
   ASSERT_TRUE(job.ok());
   Schema schema({{"other", DataType::kInt64}});
   auto bad = RecordBatch::Make(schema, {Column::MakeInt64({1})});

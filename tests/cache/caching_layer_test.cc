@@ -243,6 +243,32 @@ TEST_F(CachingLayerTest, SpillToBladeKeepsObjectReachable) {
   EXPECT_GT(fabric_->metrics().GetCounter("cache.spill_bytes").value(), 0);
 }
 
+// An evicted object with no directory entry still spills (the store cannot
+// tell), but its blade copy is dropped at once: no location names it, so
+// nothing else would ever free it.
+TEST_F(CachingLayerTest, SpillOfUnlistedObjectLeavesBladeEmpty) {
+  auto layer = std::make_unique<CachingLayer>(fabric_.get());
+  auto server = std::make_shared<LocalObjectStore>(DeviceId::Next(), kMiB);
+  auto blade = std::make_shared<LocalObjectStore>(DeviceId::Next(), 64 * kMiB);
+  layer->RegisterStore(a_, server);
+  layer->RegisterStore(blade_, blade, /*is_memory_blade=*/true);
+  ASSERT_TRUE(layer->EnableSpillToBlade(a_).ok());
+
+  ObjectId stray = ObjectId::Next();
+  ASSERT_TRUE(server->Put(stray, Buffer::Zeros(256 * 1024)).ok());
+  // 896 KiB more does not fit beside it: the stray object is the LRU victim.
+  ObjectId listed = ObjectId::Next();
+  ASSERT_TRUE(layer->Put(listed, Buffer::Zeros(kMiB - 128 * 1024), a_).ok());
+
+  EXPECT_FALSE(server->Contains(stray));
+  EXPECT_EQ(fabric_->metrics().GetCounter("cache.spill_bytes").value(), 256 * 1024);
+  EXPECT_FALSE(blade->Contains(stray));
+  EXPECT_EQ(blade->used_bytes(), 0);
+  auto locations = layer->Locations(listed);
+  ASSERT_EQ(locations.size(), 1u);
+  EXPECT_EQ(locations[0], a_);
+}
+
 TEST_F(CachingLayerTest, SpillWithoutBladesFails) {
   auto layer = std::make_unique<CachingLayer>(fabric_.get());
   layer->RegisterStore(a_, std::make_shared<LocalObjectStore>(DeviceId::Next(), kMiB));

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "src/format/serde.h"
 #include "src/ir/dialects.h"
 
@@ -391,6 +395,124 @@ TEST_F(GraphExecTest, ForwardParallelismMismatchRejected) {
   auto result = executor.Run(
       *physical, {{a, {PutBatch(NumbersBatch(0, 10)), PutBatch(NumbersBatch(10, 20))}}});
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A lost intermediate is rebuilt from lineage: the resubmitted spec still
+// carries its vertex body, so nothing is looked up by name again. The sink
+// also reads a gated source, so it cannot run before the kill.
+TEST_F(GraphExecTest, LostIntermediateReexecutesVertexBodyFromLineage) {
+  // Two GPU nodes: the filter stage runs on one, the kill takes it, and the
+  // re-execution lands on the other.
+  runtime_.reset();
+  ClusterConfig config;
+  config.racks = 1;
+  config.servers_per_rack = 2;
+  config.device_complexes = 1;
+  config.gpus_per_complex = 2;
+  config.fpgas_per_complex = 0;
+  cluster_ = Cluster::Create(config);
+  runtime_ = std::make_unique<SkadiRuntime>(cluster_.get(), &registry_);
+
+  std::atomic<bool> open{false};
+  struct OpenOnExit {  // a failed ASSERT must not leave the gate task parked
+    std::atomic<bool>* open;
+    ~OpenOnExit() { open->store(true); }
+  } open_on_exit{&open};
+  ASSERT_TRUE(registry_.Register("gate", [this, &open](TaskContext&, std::vector<Buffer>&)
+                                             -> Result<std::vector<Buffer>> {
+    while (!open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return std::vector<Buffer>{SerializeBatchIpc(NumbersBatch(0, 1))};
+  }).ok());
+
+  // sink(filtered, gate) = sum(x) by g over `filtered`; `gate` only orders.
+  auto sink_fn = std::make_shared<IrFunction>("sum_after_gate");
+  ValueId filtered = sink_fn->AddParam(IrType::Table());
+  sink_fn->AddParam(IrType::Table());
+  sink_fn->SetReturns(
+      {EmitAggregate(*sink_fn, filtered, {"g"}, {{AggKind::kSum, "x", "sum_x"}})});
+
+  FlowGraph g;
+  VertexId f = g.AddIrVertex("filter", FilterGt(40), OpClass::kFilter);
+  g.vertex(f)->backend_hint = DeviceKind::kGpu;
+  VertexId gate = g.AddIrVertex("gate", Identity(), OpClass::kScan);
+  VertexId sink = g.AddIrVertex("sink", sink_fn, OpClass::kAggregate);
+  for (VertexId v : {f, gate, sink}) {
+    g.vertex(v)->parallelism_hint = 1;
+  }
+  ASSERT_TRUE(g.AddEdge(f, sink).ok());
+  ASSERT_TRUE(g.AddEdge(gate, sink).ok());
+  LoweringOptions lowering;
+  lowering.run_ir_passes = false;  // keep the sink's parameter order
+  auto physical = LowerToPhysical(g, lowering, &registry_);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  GraphExecutor executor(runtime_.get());
+
+  auto clean = executor.RunToCompletion(
+      *physical, {{f, {PutBatch(NumbersBatch(0, 100))}},
+                  {gate, {PutBatch(NumbersBatch(0, 1))}}});
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  auto expected = SinkSortedBy(*clean, sink, "g");
+  ASSERT_TRUE(expected.ok());
+
+  // runtime.tasks_completed counts a task only after its outputs are
+  // published, so once it reaches n every counted output is ready and
+  // placed (a ready sink alone does not mean its task finished counting).
+  Counter& completed = runtime_->metrics().GetCounter("runtime.tasks_completed");
+  auto await_completed = [&completed](int64_t n) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (completed.value() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return completed.value();
+  };
+  const int64_t clean_tasks = clean->tasks_submitted;
+  ASSERT_EQ(await_completed(clean_tasks), clean_tasks);
+
+  const std::vector<NodeId> gpus = cluster_->NodesWithDevice(DeviceKind::kGpu);
+  ASSERT_EQ(gpus.size(), 2u);
+  std::map<NodeId, int64_t> gpu_tasks;
+  for (NodeId gpu : gpus) {
+    gpu_tasks[gpu] = runtime_->raylet(gpu)->tasks_executed();
+  }
+  Counter& reexecuted = runtime_->metrics().GetCounter("runtime.lineage_reexecutions");
+  const int64_t reexecuted_before = reexecuted.value();
+
+  TaskSpec gate_spec;
+  gate_spec.function = "gate";
+  gate_spec.pinned_node = cluster_->head();
+  auto gate_ref = runtime_->Submit(std::move(gate_spec));
+  ASSERT_TRUE(gate_ref.ok());
+  auto run = executor.Run(*physical, {{f, {PutBatch(NumbersBatch(0, 100))}},
+                                      {gate, {(*gate_ref)[0]}}});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  // The filter task is the only one that can finish while the gate is shut.
+  ASSERT_EQ(await_completed(clean_tasks + 1), clean_tasks + 1);
+  NodeId victim;
+  for (NodeId gpu : gpus) {
+    if (runtime_->raylet(gpu)->tasks_executed() > gpu_tasks[gpu]) {
+      victim = gpu;
+    }
+  }
+  ASSERT_TRUE(victim.valid());
+  ASSERT_TRUE(runtime_->KillNode(victim).ok());
+  open.store(true);
+
+  auto recovered = SinkSortedBy(*run, sink, "g");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(expected->num_rows(), 5);
+  EXPECT_EQ(SerializeBatchIpc(*recovered).AsStringView(),
+            SerializeBatchIpc(*expected).AsStringView());
+  EXPECT_GE(reexecuted.value(), reexecuted_before + 1);
+  // The re-execution ran on the surviving GPU (the clean run's filter output
+  // may have been lost and rebuilt too, so count at least one).
+  for (NodeId gpu : gpus) {
+    if (gpu != victim) {
+      EXPECT_GT(runtime_->raylet(gpu)->tasks_executed(), gpu_tasks[gpu]);
+    }
+  }
 }
 
 }  // namespace

@@ -56,13 +56,39 @@ TEST(PhysicalLoweringTest, NumInputsFromIrParams) {
   EXPECT_EQ(physical->plan(two)->num_inputs, 2);
 }
 
-TEST(PhysicalLoweringTest, VertexFunctionsRegistered) {
+TEST(PhysicalLoweringTest, EveryVertexPlanCarriesABody) {
   FlowGraph g;
-  VertexId v = g.AddIrVertex("a", Identity());
+  VertexId a = g.AddIrVertex("a", Identity());
+  VertexId b = g.AddIrVertex("b", TwoInput());
+  VertexId c = g.AddIrVertex("c", Identity());
+  ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kShuffle, {"k"}).ok());
+  ASSERT_TRUE(g.AddEdge(c, b, EdgeKind::kBroadcast).ok());
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
-  EXPECT_TRUE(registry.Contains(physical->plan(v)->task_function));
+  ASSERT_EQ(physical->vertices.size(), 3u);
+  for (const PhysicalVertexPlan& plan : physical->vertices) {
+    EXPECT_NE(plan.body, nullptr) << plan.name;
+  }
+}
+
+// Lowering only reads the registry: it resolves builtins there and registers
+// nothing, which the const parameter makes a compile-time guarantee.
+TEST(PhysicalLoweringTest, LowersAgainstConstRegistry) {
+  FunctionRegistry registry;
+  ASSERT_TRUE(registry.Register("op", [](TaskContext&, std::vector<Buffer>& args)
+                                          -> Result<std::vector<Buffer>> {
+    return std::vector<Buffer>{args[0]};
+  }).ok());
+  const FunctionRegistry& read_only = registry;
+  FlowGraph g;
+  VertexId ir = g.AddIrVertex("ir", Identity());
+  VertexId builtin = g.AddBuiltinVertex("builtin", "op");
+  ASSERT_TRUE(g.AddEdge(ir, builtin, EdgeKind::kForward).ok());
+  auto physical = LowerToPhysical(g, {}, &read_only);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  EXPECT_NE(physical->plan(ir)->body, nullptr);
+  EXPECT_NE(physical->plan(builtin)->body, nullptr);
 }
 
 TEST(PhysicalLoweringTest, ShuffleProducerReturnsOnePartitionPerConsumer) {

@@ -33,12 +33,12 @@ class AutoscalerTest : public ::testing::Test {
       return Status::Ok();
     };
     callbacks.fail = [this](const TaskSpec&, const Status&, NodeId) { done_.fetch_add(1); };
-    raylet_ = std::make_unique<Raylet>(node_, &registry_, &clock_, callbacks, 1);
+    raylet_ = std::make_unique<Raylet>(node_, &clock_, callbacks, 1);
   }
 
   void EnqueueHolds(int n) {
     for (int i = 0; i < n; ++i) {
-      TaskSpec spec = Call("hold", {});
+      TaskSpec spec = CallWithBody(registry_, "hold", {});
       spec.id = TaskId::Next();
       ASSERT_TRUE(raylet_->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
     }

@@ -43,7 +43,7 @@ class RayletTest : public ::testing::Test {
       failed_.emplace_back(spec.id, status);
       cv_.NotifyAll();
     };
-    return std::make_unique<Raylet>(node_, &registry_, &clock_, callbacks, workers);
+    return std::make_unique<Raylet>(node_, &clock_, callbacks, workers);
   }
 
   // Waits until `n` completions+failures accumulated.
@@ -70,7 +70,7 @@ class RayletTest : public ::testing::Test {
 
 TEST_F(RayletTest, ExecutesValueTask) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("inc_i64", {TaskArg::Value(I64Buffer(9))});
+  TaskSpec spec = CallWithBody(registry_, "inc_i64", {TaskArg::Value(I64Buffer(9))});
   spec.id = TaskId::Next();
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
@@ -83,7 +83,7 @@ TEST_F(RayletTest, ResolvesRefArgsThroughCallback) {
   auto raylet = MakeRaylet();
   ObjectId dep = ObjectId::Next();
   resolvable_[dep] = I64Buffer(41);
-  TaskSpec spec = Call("inc_i64", {TaskArg::Ref({dep, NodeId::Next()})});
+  TaskSpec spec = CallWithBody(registry_, "inc_i64", {TaskArg::Ref({dep, NodeId::Next()})});
   spec.id = TaskId::Next();
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
@@ -93,7 +93,8 @@ TEST_F(RayletTest, ResolvesRefArgsThroughCallback) {
 
 TEST_F(RayletTest, UnresolvableArgFailsTask) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("inc_i64", {TaskArg::Ref({ObjectId::Next(), NodeId::Next()})});
+  TaskSpec spec =
+      CallWithBody(registry_, "inc_i64", {TaskArg::Ref({ObjectId::Next(), NodeId::Next()})});
   spec.id = TaskId::Next();
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
@@ -102,19 +103,22 @@ TEST_F(RayletTest, UnresolvableArgFailsTask) {
   EXPECT_EQ(raylet->tasks_executed(), 0);
 }
 
-TEST_F(RayletTest, UnknownFunctionFails) {
+// Names are resolved at Submit (RuntimeTest.UnknownFunctionRejectedAtSubmit);
+// a spec handed to the public Enqueue without a body fails, not crashes.
+TEST_F(RayletTest, SpecWithoutBodyFails) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Call("mystery", {});
   spec.id = TaskId::Next();
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
-  EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);
+  EXPECT_EQ(failed_[0].second.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(raylet->tasks_executed(), 0);
 }
 
 TEST_F(RayletTest, WrongReturnCountFails) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer::FromString("x"))});
+  TaskSpec spec = CallWithBody(registry_, "echo", {TaskArg::Value(Buffer::FromString("x"))});
   spec.id = TaskId::Next();
   spec.num_returns = 2;  // echo produces 1
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
@@ -125,7 +129,7 @@ TEST_F(RayletTest, WrongReturnCountFails) {
 
 TEST_F(RayletTest, ChargesFixedComputeNanos) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
+  TaskSpec spec = CallWithBody(registry_, "echo", {TaskArg::Value(Buffer())});
   spec.id = TaskId::Next();
   spec.fixed_compute_nanos = 123456;
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
@@ -135,7 +139,7 @@ TEST_F(RayletTest, ChargesFixedComputeNanos) {
 
 TEST_F(RayletTest, ChargesCostModelByDefault) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer::Zeros(1 << 20))});
+  TaskSpec spec = CallWithBody(registry_, "echo", {TaskArg::Value(Buffer::Zeros(1 << 20))});
   spec.id = TaskId::Next();
   spec.op_class = OpClass::kScan;
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
@@ -152,11 +156,11 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     return std::vector<Buffer>{Buffer()};
   }).ok());
-  TaskSpec blocker = Call("block_20ms", {});
+  TaskSpec blocker = CallWithBody(registry_, "block_20ms", {});
   blocker.id = TaskId::Next();
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(blocker)).ok());
   for (int i = 0; i < 3; ++i) {
-    TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
+    TaskSpec spec = CallWithBody(registry_, "echo", {TaskArg::Value(Buffer())});
     spec.id = TaskId::Next();
     ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
   }
@@ -170,7 +174,9 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
   for (auto& [task, status] : failed_) {
     EXPECT_EQ(status.code(), StatusCode::kAborted);
   }
-  EXPECT_FALSE(raylet->Enqueue(std::make_shared<const TaskSpec>(Call("echo", {}))).ok());
+  EXPECT_FALSE(
+      raylet->Enqueue(std::make_shared<const TaskSpec>(CallWithBody(registry_, "echo", {})))
+          .ok());
 }
 
 TEST_F(RayletTest, WorkerGrowthIncreasesParallelism) {
@@ -199,7 +205,8 @@ TEST_F(RayletTest, ActorStatePersistsAcrossTasks) {
   EXPECT_EQ(raylet->CreateActor(actor, nullptr).code(), StatusCode::kAlreadyExists);
 
   for (const char* c : {"a", "b", "c"}) {
-    TaskSpec spec = Call("append_char", {TaskArg::Value(Buffer::FromString(c))});
+    TaskSpec spec =
+        CallWithBody(registry_, "append_char", {TaskArg::Value(Buffer::FromString(c))});
     spec.id = TaskId::Next();
     spec.actor = actor;
     ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());
@@ -212,7 +219,7 @@ TEST_F(RayletTest, ActorStatePersistsAcrossTasks) {
 
 TEST_F(RayletTest, ActorTaskWithoutActorFails) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
+  TaskSpec spec = CallWithBody(registry_, "echo", {TaskArg::Value(Buffer())});
   spec.id = TaskId::Next();
   spec.actor = ActorId::Next();
   ASSERT_TRUE(raylet->Enqueue(std::make_shared<const TaskSpec>(spec)).ok());

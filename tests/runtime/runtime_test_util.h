@@ -90,6 +90,17 @@ inline TaskSpec Call(const std::string& function, std::vector<TaskArg> args) {
   return spec;
 }
 
+// Call() with the body resolved from `registry`, as SkadiRuntime::Submit
+// does; for tests that hand specs straight to a raylet.
+inline TaskSpec CallWithBody(const FunctionRegistry& registry, const std::string& function,
+                             std::vector<TaskArg> args) {
+  TaskSpec spec = Call(function, std::move(args));
+  Result<std::shared_ptr<const TaskFunction>> body = registry.Lookup(function);
+  SKADI_CHECK(body.ok()) << body.status().ToString();
+  spec.body = std::move(body).value();
+  return spec;
+}
+
 }  // namespace skadi
 
 #endif  // TESTS_RUNTIME_RUNTIME_TEST_UTIL_H_

@@ -63,6 +63,15 @@ Checks:
                     loop. std::thread::hardware_concurrency() (a query that
                     starts nothing) passes. Escape hatch:
                     `// lint:allow raw-thread (<reason>)`.
+  task-register     a FunctionRegistry registration in src/: a `.Register(`
+                    or `->Register(` call with two or more arguments (name,
+                    body), also across line breaks. Bodies built at run
+                    time (a lowered vertex, an ML or streaming step) go on
+                    TaskSpec::body; registering them grows a process-wide
+                    name table nothing erases. One-argument calls such as
+                    Autoscaler::Register pass. Escape hatch:
+                    `// lint:allow task-register (<reason>)` on the call
+                    line.
   annotation-reason every analyzer escape hatch must say why: an
                     `// analyze:allow <rule>` needs a non-empty
                     `(<reason>)` and an `// analyze:lifetime` needs a
@@ -118,6 +127,8 @@ RULE_DOCS = {
                      "handle once at construction",
     "raw-thread": "no std::thread/jthread/async or this_thread::sleep_for/"
                   "sleep_until in src/ outside src/net/reactor.{h,cc}",
+    "task-register": "no FunctionRegistry Register(name, body) calls in "
+                     "src/; put run-time bodies on TaskSpec::body",
     "annotation-reason": "analyze:allow needs a non-empty (<reason>); "
                          "analyze:lifetime needs a non-empty reason text",
 }
@@ -130,6 +141,10 @@ RAW_THREAD_ALLOWED = {
 RAW_THREAD_RE = re.compile(
     r"std::(?:thread(?!::hardware_concurrency\b)|jthread|async)\b|"
     r"std::this_thread::sleep_(?:for|until)\b")
+
+# A `.Register(` / `->Register(` call; task-register flags the ones with a
+# top-level comma (the FunctionRegistry name + body shape).
+REGISTER_CALL_RE = re.compile(r"(?:\.|->)\s*Register\s*\(")
 
 # Data-plane hot path: files where a payload memcpy is a perf regression, not
 # a style nit. Buffer::FromBytes/FromString copy; these files must alias.
@@ -272,6 +287,7 @@ class Linter:
             self.check_metric_names(path, raw, raw_lines)
         if rel.startswith("src" + os.sep):
             self.check_metric_handles(path, raw_lines, stripped)
+            self.check_task_register(path, raw_lines, stripped)
             if rel not in RAW_THREAD_ALLOWED:
                 self.check_raw_thread(path, raw_lines, lines)
 
@@ -437,6 +453,31 @@ class Linter:
                         "metric up on every update; resolve the handle once "
                         "at construction into a member pointer (or annotate "
                         "`// lint:allow metric-handle (reason)`)")
+
+    def check_task_register(self, path, raw_lines, stripped):
+        # `stripped` has strings and comments blanked (offsets kept); count
+        # commas only at the call's own nesting level, so a lambda capture
+        # list or a nested call inside a single argument does not count.
+        for m in REGISTER_CALL_RE.finditer(stripped):
+            depth, end, args = 1, m.end(), 1
+            while end < len(stripped) and depth > 0:
+                c = stripped[end]
+                if c in "([{":
+                    depth += 1
+                elif c in ")]}":
+                    depth -= 1
+                elif c == "," and depth == 1:
+                    args += 1
+                end += 1
+            if args < 2:
+                continue
+            lineno = stripped.count("\n", 0, m.start()) + 1
+            if line_allows(raw_lines[lineno - 1], "task-register"):
+                continue
+            self.report(path, lineno, "task-register",
+                        "FunctionRegistry registration in src/; build the "
+                        "closure and set TaskSpec::body instead (or annotate "
+                        "`// lint:allow task-register (reason)`)")
 
     def check_annotation_reason(self, path, raw_lines):
         # Analyzer suppressions are load-bearing: a reasonless one cannot be
