@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/ownership/ownership_table.h"
@@ -190,12 +191,12 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
     // latency rides in the spec's submit timestamp (scheduling_hint abuse
     // avoided: we time around Submit instead, which includes the queue).
     Mutex mu;
-    std::vector<TaskId> done;
+    std::vector<std::pair<TaskId, NodeId>> done;
     Scheduler scheduler(
         &cache, &metrics, SchedulingPolicy::kLoadAware,
-        [&](const TaskSpecPtr& spec, NodeId) {
+        [&](const TaskSpecPtr& spec, NodeId target) {
           MutexLock lock(mu);
-          done.push_back(spec->id);
+          done.emplace_back(spec->id, target);
           return Status::Ok();
         });
     std::vector<SchedulableNode> sched_nodes;
@@ -207,13 +208,15 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
     std::atomic<bool> stop{false};
     std::thread completer([&] {
       while (!stop.load()) {
-        std::vector<TaskId> batch;
+        std::vector<std::pair<TaskId, NodeId>> batch;
         {
           MutexLock lock(mu);
           batch.swap(done);
         }
-        for (TaskId id : batch) {
-          scheduler.OnTaskFinished(id);
+        for (const auto& [id, node] : batch) {
+          if (scheduler.ClaimTask(id, node)) {
+            scheduler.ReleaseSlot(node);
+          }
         }
         std::this_thread::yield();
       }

@@ -11,8 +11,8 @@
 //    (post of the resolver -> waiter continuation ran), max_outstanding, and
 //    reactor_threads — the acceptance numbers for BENCH_reactor.json.
 //  * BM_RuntimeFutures/N: end-to-end — N echo tasks in flight through
-//    Submit/GetAsync on a SkadiRuntime, all futures resolved via ownership
-//    watchers on the fabric reactor.
+//    Submit/GetAsync on a SkadiRuntime, each future resolved by its
+//    ownership watcher on the raylet worker that produced it.
 //
 // SKADI_BENCH_SMOKE=1 shrinks future counts to 4096 (256 end-to-end) and
 // runs one iteration per benchmark (tools/check.sh sanitizer smoke).

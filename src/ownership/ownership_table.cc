@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/clock.h"
 #include "src/common/metric_names.h"
 #include "src/common/trace.h"
 
@@ -87,9 +86,6 @@ void OwnershipTable::FireWatchers(std::vector<Continuation> watchers) const {
                    static_cast<int64_t>(watchers.size()), "watchers");
   }
   for (Continuation& w : watchers) {
-    if (reactor_ != nullptr && reactor_->Post(w)) {
-      continue;  // copy posted; a stopped reactor falls through to inline
-    }
     w();
   }
 }
@@ -262,42 +258,6 @@ Result<ObjectState> OwnershipTable::StateOrWatch(ObjectId id,
     }
   }
   return it->second.state;
-}
-
-Result<ObjectState> OwnershipTable::WaitReady(ObjectId id, int64_t timeout_ms) const {
-  const bool bounded = timeout_ms > 0;
-  const int64_t deadline_nanos = NowNanos() + timeout_ms * 1'000'000;
-  for (;;) {
-    // The Event is shared with the watcher so a Set that fires after this
-    // frame timed out and left lands on live storage.
-    auto ev = std::make_shared<Event>();
-    Result<ObjectState> state = StateOrWatch(id, [ev] { ev->Set(); });
-    if (!state.ok()) {
-      return state.status();
-    }
-    if (*state != ObjectState::kPending) {
-      return *state;
-    }
-    const int64_t limit = bounded ? deadline_nanos : -1;
-    const bool fired = reactor_ != nullptr ? reactor_->BlockOn(*ev, limit)
-                                           : ev->BlockingWait(limit);
-    if (!fired && bounded) {
-      // Final re-check: the state may have flipped right at the deadline.
-      Shard& s = shard(id);
-      ShardLock lock(s.mu, shard_lock_waits_);
-      auto it = s.records.find(id);
-      if (it == s.records.end()) {
-        return Status::NotFound("object " + id.ToString() +
-                                " was released while waiting");
-      }
-      if (it->second.state != ObjectState::kPending) {
-        return it->second.state;
-      }
-      return Status::DeadlineExceeded("object " + id.ToString() +
-                                      " still pending after " +
-                                      std::to_string(timeout_ms) + "ms");
-    }
-  }
 }
 
 Result<TaskId> OwnershipTable::ProducedBy(ObjectId id) const {

@@ -28,11 +28,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/event.h"
 #include "src/common/id.h"
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
-#include "src/net/reactor.h"
 #include "src/ownership/object_ref.h"
 
 namespace skadi {
@@ -84,14 +84,9 @@ class OwnershipTable {
   NodeId owner() const { return owner_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  // Wires the reactor that ownership-readiness continuations are posted to.
-  // Unset (standalone tables in unit tests), watchers run inline on the
-  // thread that flips the state. Wire before concurrent use; not synchronized.
-  void set_reactor(Reactor* reactor) { reactor_ = reactor; }
-
   // Wires watcher telemetry (ownership.* registrations/fires counters, the
-  // live-watcher gauge, and the shard-lock contention counter). Same
-  // wire-before-use contract as set_reactor.
+  // live-watcher gauge, and the shard-lock contention counter). Wire before
+  // concurrent use; not synchronized.
   void set_metrics(MetricsRegistry* registry);
 
   // Creates a pending record (called at task submission for each return).
@@ -113,8 +108,8 @@ class OwnershipTable {
   std::vector<ObjectId> OnNodeFailure(NodeId node);
 
   // Explicitly marks an object lost. A non-Ok `failure` says it is lost for
-  // good (its producing task failed terminally): StateOrWatch, and so
-  // WaitReady, then returns `failure` instead of kLost, so waiters complete
+  // good (its producing task failed terminally): StateOrWatch then
+  // returns `failure` instead of kLost, so waiters complete
   // with the task's status rather than retrying recovery. MarkReady and
   // MarkPendingForReconstruction clear it.
   Status MarkLost(ObjectId id, Status failure = Status::Ok());
@@ -141,16 +136,12 @@ class OwnershipTable {
   // status recorded by MarkLost), and — only when that state is kPending —
   // registers `watcher` to fire once the object next leaves kPending (ready,
   // lost, or released; re-probe to learn which). For any other state the
-  // watcher is dropped unrun. Watchers fire at most once, on the wiring
-  // reactor if set, else inline on the thread that flipped the state. This
-  // is the continuation-based replacement for parking a thread in WaitReady.
+  // watcher is dropped unrun. Watchers fire at most once, inline on the
+  // thread that flips the state (MarkReady, MarkLost, DecRef,
+  // OnNodeFailure), after the shard lock is released and before that call
+  // returns, so a watcher may call back into the table. No thread ever
+  // parks on the table: waiters are watchers.
   Result<ObjectState> StateOrWatch(ObjectId id, Continuation watcher) const;
-
-  // Blocks until the object leaves kPending (ready or lost). Returns the
-  // final state; kDeadlineExceeded if `timeout_ms` elapses first (0 = wait
-  // forever). A drain-loop shim over StateOrWatch: with a reactor wired the
-  // calling thread helps drive it while waiting.
-  Result<ObjectState> WaitReady(ObjectId id, int64_t timeout_ms = 0) const;
 
   // Lineage lookup for recovery.
   Result<TaskId> ProducedBy(ObjectId id) const;
@@ -184,12 +175,11 @@ class OwnershipTable {
   // Detaches the watchers registered for `id` in `s`, if any.
   std::vector<Continuation> TakeWatchersLocked(Shard& s, ObjectId id) const
       REQUIRES(s.mu);
-  // Runs detached watchers: posted to the wired reactor, inline otherwise.
-  // Never called with a shard mutex held.
+  // Runs detached watchers inline on the calling thread. Never called with a
+  // shard mutex held.
   void FireWatchers(std::vector<Continuation> watchers) const;
 
   NodeId owner_;
-  Reactor* reactor_ = nullptr;
   // Cached handles (null until set_metrics); the registry outlives the table.
   Counter* watch_registrations_ = nullptr;
   Counter* watcher_fires_ = nullptr;

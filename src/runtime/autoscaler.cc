@@ -84,9 +84,11 @@ void Autoscaler::Tick() {
       if (grow == 0) {
         grow = 1;
       }
-      raylet->GrowWorkers(grow);
+      // Count before resizing, so whoever sees the new pool size also sees
+      // the step that made it.
       scale_ups_.fetch_add(static_cast<int64_t>(grow));
       scale_ups_ctr_->Add(static_cast<int64_t>(grow));
+      raylet->GrowWorkers(grow);
       tracked.idle_ticks = 0;
       continue;
     }
@@ -95,9 +97,9 @@ void Autoscaler::Tick() {
       ++tracked.idle_ticks;
       if (tracked.idle_ticks >= options_.idle_ticks_before_scale_down &&
           workers > options_.min_workers) {
-        raylet->ShrinkWorkers(1);
         scale_downs_.fetch_add(1);
         scale_downs_ctr_->Increment();
+        raylet->ShrinkWorkers(1);
         tracked.idle_ticks = 0;
       }
     } else {

@@ -13,7 +13,10 @@
 
 namespace skadi {
 
-// Resolves one future as a chain of continuations on the fabric reactor.
+// Resolves one future as a chain of continuations. Each link runs on the
+// thread that woke it: the thread that flipped the object's state (its
+// ownership watcher), the fabric reactor (backoff timer, realized transfer),
+// or the caller (an already-resolved future).
 //
 // Lifecycle: heap-allocated via shared_ptr. While pending, the op is linked
 // into the runtime's deadline queue, which holds a reference to it (pin_);
@@ -25,8 +28,10 @@ namespace skadi {
 // Threading: Steps form a single chain — each state arms exactly one
 // wake-up (watcher while pending, timer while lost) and the next Step runs
 // when it fires, so backoff_nanos_/lost_rounds_ need no lock. Only the
-// deadline sweep runs concurrently with the chain; it reads the queue links
-// under ops_mu_ and calls OnDeadline, which Finish's finished_ gate settles.
+// deadline sweep, on the fabric reactor, runs concurrently with the chain,
+// which may be on any thread; the sweep reads the queue links under ops_mu_
+// and calls OnDeadline, and Finish's finished_ gate lets exactly one of
+// OnDeadline and the chain's own Finish complete the op.
 struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   // kDriverGet fetches to the head node and charges the driver->owner
   // control hop; kArgResolve fetches to the consuming node and caps lost
@@ -134,8 +139,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
 
   void OnDeadline() {
     if (mode_ == Mode::kArgResolve) {
-      // Message shape matches OwnershipTable::WaitReady's bounded-wait error,
-      // which the old per-round loop surfaced.
+      // Same message as ResolveArg's own bounded-wait error.
       Finish(Status::DeadlineExceeded("object " + ref_.id.ToString() +
                                       " still pending after " +
                                       std::to_string(timeout_ms_) + "ms"));
@@ -214,9 +218,6 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, const FunctionRegistry* registry,
     SKADI_CHECK(ctrl_registered.ok()) << ctrl_registered.ToString();
     ownership_[node.id] =
         std::make_unique<OwnershipTable>(node.id, options_.control_plane_shards);
-    // Ownership watchers (GetOp chains, WaitReady wake-ups) run on the
-    // fabric reactor instead of the state-flipping thread.
-    ownership_[node.id]->set_reactor(&cluster_->fabric().reactor());
     if (!node.is_compute()) {
       continue;
     }
@@ -668,8 +669,9 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
 
   // Pull protocol: a costed control round trip to the owner's ownership
   // table, then an on-demand data transfer. The wait itself is an arg-mode
-  // GetOp on the fabric reactor (lost objects retry on a wheel timer, not a
-  // sleep loop); this worker thread parks on the completion Event.
+  // GetOp (lost objects retry on a wheel timer, not a sleep loop); this
+  // worker thread parks on the completion Event, which the producer's
+  // thread sets when it publishes the object.
   ControlMessage(at, ref.owner);
   pull_resolutions_->Increment();
 
@@ -720,6 +722,26 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
   // Runs on the executing raylet's worker under RunTask's ScopedContext, so
   // this span sits inside the task's run span.
   trace::TraceSpan complete_span(names::kSpanRuntimeCompleteTask);
+  // Claim the attempt before publishing anything. MarkReady runs the
+  // outputs' waiters on this thread before it returns, and one of them may
+  // kill this node: a claimed task is no longer in flight, so that failover
+  // cannot re-dispatch it. A stale attempt publishes nothing; the raylet
+  // reports it aborted, and the attempt it was failed over to owns the
+  // outputs.
+  if (!scheduler_->ClaimTask(spec.id, at)) {
+    return Status::Aborted("attempt of task " + spec.id.ToString() + " on " +
+                           at.ToString() + " was failed over");
+  }
+  Status published = PublishOutputs(spec, std::move(outputs), at);
+  if (published.ok()) {
+    tasks_completed_->Increment();
+  }
+  scheduler_->ReleaseSlot(at);
+  return published;  // on error the raylet's FailTask publishes the failure
+}
+
+Status SkadiRuntime::PublishOutputs(const TaskSpec& spec, std::vector<Buffer> outputs,
+                                    NodeId at) {
   const ClusterNode* node = cluster_->node(at);
   OwnershipTable& table = ownership(spec.owner);
 
@@ -786,9 +808,6 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
     ControlMessage(spec.owner, cluster_->head());
     scheduler_->OnObjectReady(oid);
   }
-
-  tasks_completed_->Increment();
-  scheduler_->OnTaskFinished(spec.id);
   return Status::Ok();
 }
 
@@ -807,12 +826,19 @@ void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId a
   // Non-abort failures are terminal: record the status on every output, so
   // a Get or argument resolution on it completes at once with this status
   // (no lineage retry), and release parked dependents — they fail with the
-  // same status instead of hanging the job.
+  // same status instead of hanging the job. The attempt is claimed before
+  // MarkLost runs the waiters, as in CompleteTask. A failure that holds no
+  // claim still publishes but frees no slot: it never reached a node, its
+  // attempt was failed over, or CompleteTask claimed it and then failed to
+  // publish.
+  const bool claimed = scheduler_->ClaimTask(spec.id, at);
   for (ObjectId oid : spec.returns) {
     (void)ownership(spec.owner).MarkLost(oid, status);  // record may be released
     scheduler_->OnObjectReady(oid);
   }
-  scheduler_->OnTaskFinished(spec.id);
+  if (claimed) {
+    scheduler_->ReleaseSlot(at);
+  }
 }
 
 Result<Buffer> SkadiRuntime::Get(const ObjectRef& ref, int64_t timeout_ms) {
@@ -845,10 +871,10 @@ Result<std::vector<Buffer>> SkadiRuntime::GetAll(const std::vector<ObjectRef>& r
   if (refs.empty()) {
     return std::vector<Buffer>();
   }
-  // Fan out one GetOp per ref on the fabric reactor and park once on a
-  // shared countdown: N concurrent resolutions, one blocking wait. Sinks
-  // gathering many partitions resolve in resolution order rather than
-  // serially in index order (the old Get-in-a-loop shim).
+  // Fan out one GetOp per ref and park once on a shared countdown: N
+  // concurrent resolutions, one blocking wait. Sinks gathering many
+  // partitions resolve in resolution order rather than serially in index
+  // order (the old Get-in-a-loop shim).
   struct GatherState {
     explicit GatherState(size_t n)
         : results(n, Result<Buffer>(Status::Internal("GetAll never completed"))),
@@ -897,22 +923,71 @@ void SkadiRuntime::GetAsync(const ObjectRef& ref,
   op->Start();
 }
 
+namespace {
+
+// Shared countdown behind SkadiRuntime::Wait: one slot per ref, settled once
+// each by that ref's watcher chain. The first failure completes the wait.
+struct WaitState {
+  explicit WaitState(size_t n) : remaining(n) {}
+
+  void Settle(const Status& status) {
+    if (!status.ok()) {
+      {
+        MutexLock lock(mu);
+        if (error.ok()) {
+          error = status;
+        }
+      }
+      done.Set();
+      return;
+    }
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      done.Set();
+    }
+  }
+
+  std::atomic<size_t> remaining;
+  Mutex mu;
+  Status error GUARDED_BY(mu);
+  Event done;
+};
+
+// Probes `id` and, while it is pending, re-arms a watcher that probes again
+// when it leaves kPending (lineage may re-arm a lost object before the
+// watcher probes). Settles `state` once the object is not pending.
+// The watcher runs inside a table call, so `table` is alive when it does.
+void WatchUntilSettled(const OwnershipTable* table, ObjectId id,
+                       const std::shared_ptr<WaitState>& state) {
+  Result<ObjectState> probed =
+      table->StateOrWatch(id, [table, id, state] { WatchUntilSettled(table, id, state); });
+  if (probed.ok() && *probed == ObjectState::kPending) {
+    return;
+  }
+  state->Settle(probed.status());
+}
+
+}  // namespace
+
 Status SkadiRuntime::Wait(const std::vector<ObjectRef>& refs, int64_t timeout_ms) {
   if (timeout_ms < 0) {
     timeout_ms = options_.default_get_timeout_ms;
   }
-  const int64_t deadline = NowNanos() + timeout_ms * 1000000;
-  for (const ObjectRef& ref : refs) {
-    int64_t remaining_ms = (deadline - NowNanos()) / 1000000;
-    if (remaining_ms <= 0) {
-      return Status::DeadlineExceeded("Wait timed out");
-    }
-    auto state = ownership(ref.owner).WaitReady(ref.id, remaining_ms);
-    if (!state.ok()) {
-      return state.status();
-    }
+  if (refs.empty()) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  // One watcher chain per ref and one park for the whole set, as in GetAll:
+  // a graph's sinks settle in any order and wake this thread once.
+  auto state = std::make_shared<WaitState>(refs.size());
+  for (const ObjectRef& ref : refs) {
+    WatchUntilSettled(&ownership(ref.owner), ref.id, state);
+  }
+  cluster_->fabric().reactor().BlockOn(state->done,
+                                       NowNanos() + timeout_ms * 1'000'000);
+  if (!state->done.is_set()) {
+    return Status::DeadlineExceeded("Wait timed out");
+  }
+  MutexLock lock(state->mu);
+  return state->error;
 }
 
 Status SkadiRuntime::Release(const ObjectRef& ref) {

@@ -86,21 +86,29 @@ class SkadiRuntime {
   Result<Buffer> Get(const ObjectRef& ref, int64_t timeout_ms = -1);
 
   // Continuation form of Get: never parks the calling thread. `done` runs
-  // inline when the future is already resolved (or fails fast), otherwise on
-  // the fabric reactor when the owner flips the object's state. Lost objects
-  // under lineage recovery re-arm a reactor timer (capped exponential
-  // backoff) instead of sleeping. Requires a live cluster; timeout_ms < 0
-  // means options().default_get_timeout_ms.
+  // exactly once: inline when the future is already resolved (or fails
+  // fast); otherwise on the publishing thread — the one whose MarkReady,
+  // MarkLost or release flips the owner's record, usually the raylet worker
+  // that produced the object — or, for a deadline, a lost-object retry or a
+  // realized transfer, on the fabric reactor. `done` must not block and may
+  // run inside the producer's CompleteTask. Lost objects under lineage
+  // recovery re-arm a reactor timer (capped exponential backoff) instead of
+  // sleeping. Requires a live cluster; timeout_ms < 0 means
+  // options().default_get_timeout_ms.
   void GetAsync(const ObjectRef& ref, std::function<void(Result<Buffer>)> done,
                 int64_t timeout_ms = -1);
 
-  // Resolves many futures concurrently: one GetAsync per ref fanned out on
-  // the fabric reactor, one park for the whole set. Results are positional.
-  // Fails with the first non-OK resolution (after all ops settle).
+  // Resolves many futures concurrently: one GetAsync per ref, one park for
+  // the whole set; each element's `done` runs where GetAsync says, and the
+  // last one to settle wakes the caller. Results are positional. Fails with
+  // the first non-OK resolution (after all ops settle).
   Result<std::vector<Buffer>> GetAll(const std::vector<ObjectRef>& refs,
                                      int64_t timeout_ms = -1);
 
-  // Blocks until all futures leave the pending state.
+  // Blocks until all futures leave the pending state: one ownership watcher
+  // per ref and one park for the whole set. Fails fast with a ref's failure
+  // (released, or its task failed terminally); DeadlineExceeded when any ref
+  // is still pending at the timeout.
   Status Wait(const std::vector<ObjectRef>& refs, int64_t timeout_ms = -1);
 
   // Drops a driver reference; the object is deleted when the count is zero.
@@ -156,7 +164,12 @@ class SkadiRuntime {
   // the task body (Raylet::Callbacks::pin_arg contract).
   bool PinArg(const ObjectRef& ref, NodeId at);
   void UnpinArg(const ObjectRef& ref, NodeId at);
+  // Claims the attempt on `at` (Scheduler::ClaimTask), publishes its outputs,
+  // then frees its slot. Aborted, publishing nothing, for a stale attempt.
   Status CompleteTask(const TaskSpec& spec, std::vector<Buffer> outputs, NodeId at);
+  // Stores each output, marks it ready (running its waiters on this thread),
+  // pushes it to registered consumers and releases parked dependents.
+  Status PublishOutputs(const TaskSpec& spec, std::vector<Buffer> outputs, NodeId at);
   // `at` is the node the failing attempt ran on (invalid for failures that
   // never reached a node, e.g. unschedulable tasks). Aborts re-dispatch via
   // Scheduler::OnTaskAborted; other failures are terminal.

@@ -586,23 +586,22 @@ void Scheduler::RemoveNode(NodeId node) {
   RouteAll(std::move(orphans));
 }
 
-void Scheduler::OnTaskFinished(TaskId task) {
-  NodeId node;
-  bool found = false;
-  {
-    TaskShard& t = task_shard(task);
-    MutexLock lock(t.mu);
-    auto it = t.inflight_specs.find(task);
-    if (it != t.inflight_specs.end()) {
-      node = it->second.node;
-      found = true;
-      t.inflight_specs.erase(it);
-    }
+bool Scheduler::ClaimTask(TaskId task, NodeId at) {
+  TaskShard& t = task_shard(task);
+  MutexLock lock(t.mu);
+  auto it = t.inflight_specs.find(task);
+  if (it == t.inflight_specs.end() || it->second.node != at) {
+    return false;
   }
+  t.inflight_specs.erase(it);
+  return true;
+}
+
+void Scheduler::ReleaseSlot(NodeId at) {
   QueuePtr q;
-  if (found) {
+  {
     MutexLock lock(nodes_mu_);
-    auto it = queue_by_node_.find(node);
+    auto it = queue_by_node_.find(at);
     if (it != queue_by_node_.end()) {
       q = it->second;
     }

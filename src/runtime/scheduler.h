@@ -12,7 +12,7 @@
 //  * per-raylet dispatch queues (NodeQueue) — placement routes a dep-ready
 //    task to its node's queue under that queue's own lock; a pump drains the
 //    queue to the dispatch function outside every lock, and idle raylets
-//    steal from the longest queue (OnTaskFinished / empty-pump triggers).
+//    steal from the longest queue (ReleaseSlot / empty-pump triggers).
 //  * a sharded ready-object reverse index (ready set + waiters) and a
 //    sharded park table, so OnObjectReady storms resolve dependencies
 //    without serializing against placement. Parking uses an atomic
@@ -104,9 +104,17 @@ class Scheduler {
   // Called by the runtime when an object transitions to ready.
   void OnObjectReady(ObjectId id);
 
-  // Called when a task finishes or fails (frees its slot; the freed raylet
-  // steals queued work from the longest other queue if it has capacity).
-  void OnTaskFinished(TaskId task);
+  // Task completion is two calls, so that a node failure can never
+  // re-dispatch a task whose outputs are being published. ClaimTask erases
+  // the in-flight record iff it still refers to the attempt on `at`, before
+  // the runtime publishes anything; from then on OnNodeFailure does not see
+  // the task. False means the attempt is stale (a node failure or an abort
+  // already failed it over, or it never reached a node) and holds no slot.
+  bool ClaimTask(TaskId task, NodeId at);
+  // Frees the slot a claimed attempt held on `at`, once its outputs are
+  // published; the freed raylet steals queued work from the longest other
+  // queue if it has capacity.
+  void ReleaseSlot(NodeId at);
 
   // Called when an attempt of `spec` aborted on `at` because the node died.
   // Re-dispatches the task elsewhere iff the in-flight record still refers to

@@ -1,7 +1,7 @@
 // ISSUE 8 acceptance: with tracing on, a cross-node Submit -> schedule ->
 // run -> Get flow reconstructs as ONE connected span tree — parent links
 // survive the scheduler hop, the fabric hop to the executing raylet, and
-// the reactor continuations that resolve the future.
+// the watcher and fetch continuations that resolve the future.
 //
 // The test also writes the observability artifacts other tooling consumes:
 //   trace_plane.trace.json   — Chrome-trace JSON (tools/trace.py validates

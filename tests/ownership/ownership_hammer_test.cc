@@ -178,8 +178,8 @@ TEST_P(ShardedWatchStormTest, WatchersFireExactlyOnce) {
   for (int t = 0; t < kThreads / 2; ++t) threads.emplace_back(marker, t);
   for (auto& t : threads) t.join();
 
-  // No reactor wired: watchers ran inline on the marking thread, so by join
-  // time every registered watcher has fired — exactly once each.
+  // Watchers run inline on the marking thread, so by join time every
+  // registered watcher has fired — exactly once each.
   EXPECT_EQ(fired.load(), registered.load());
   EXPECT_EQ(registered.load() + terminal.load(), (kThreads / 2) * kObjects);
 

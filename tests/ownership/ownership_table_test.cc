@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/clock.h"
-
 namespace skadi {
 namespace {
 
@@ -123,36 +121,6 @@ TEST_F(OwnershipTableTest, ReconstructionRequiresLostState) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(OwnershipTableTest, WaitReadyBlocksUntilMarkReady) {
-  ObjectId id = Register();
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)table_.MarkReady(id, NodeId::Next(), 1);  // asserts don't work off-thread
-  });
-  auto state = table_.WaitReady(id, 2000);
-  producer.join();
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(*state, ObjectState::kReady);
-}
-
-TEST_F(OwnershipTableTest, WaitReadyTimesOut) {
-  ObjectId id = Register();
-  auto state = table_.WaitReady(id, 20);
-  EXPECT_EQ(state.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST_F(OwnershipTableTest, WaitReadyWakesOnLoss) {
-  ObjectId id = Register();
-  std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(table_.MarkLost(id).ok());
-  });
-  auto state = table_.WaitReady(id, 2000);
-  killer.join();
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(*state, ObjectState::kLost);
-}
-
 TEST_F(OwnershipTableTest, RefCountingRemovesAtZero) {
   ObjectId id = Register();
   ASSERT_TRUE(table_.IncRef(id).ok());  // count = 2
@@ -214,16 +182,44 @@ TEST_F(OwnershipTableTest, StateOrWatchFiresOnLossAndRelease) {
             StatusCode::kNotFound);
 }
 
-TEST_F(OwnershipTableTest, WatchersRunOnReactorWhenWired) {
-  Reactor reactor("test");
-  table_.set_reactor(&reactor);
-  ObjectId id = Register();
-  auto ev = std::make_shared<Event>();
-  ASSERT_TRUE(table_.StateOrWatch(id, [ev] { ev->Set(); }).ok());
-  ASSERT_TRUE(table_.MarkReady(id, NodeId::Next(), 1).ok());
-  // The watcher was posted, not run inline on the MarkReady thread.
-  EXPECT_FALSE(ev->is_set());
-  EXPECT_TRUE(reactor.BlockOn(*ev));
+// The watcher contract: a watcher runs inline on the thread that flips the
+// state, before that call returns; and since the shard lock is released
+// first, a watcher may call back into the same shard.
+TEST_F(OwnershipTableTest, WatchersRunInlineOnTheMarkingThread) {
+  OwnershipTable table(NodeId::Next(), /*num_shards=*/1);  // one shard for all
+  const ObjectId id = ObjectId::Next();
+  const ObjectId sibling = ObjectId::Next();
+  ASSERT_TRUE(table.RegisterObject(id, TaskId::Next()).ok());
+  ASSERT_TRUE(table.RegisterObject(sibling, TaskId::Next()).ok());
+
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on;
+  Result<ObjectState> reentrant_watch = Status::Internal("watcher never ran");
+  Result<OwnershipTable::ResolveReply> reentrant_resolve =
+      Status::Internal("watcher never ran");
+  ASSERT_TRUE(table
+                  .StateOrWatch(id,
+                                [&] {
+                                  ran_on = std::this_thread::get_id();
+                                  reentrant_watch = table.StateOrWatch(sibling, [] {});
+                                  reentrant_resolve = table.Resolve(id);
+                                  ran.store(true);
+                                })
+                  .ok());
+  std::thread::id marker_id;
+  bool ran_before_return = false;
+  std::thread marker([&] {
+    marker_id = std::this_thread::get_id();
+    ASSERT_TRUE(table.MarkReady(id, NodeId::Next(), 1).ok());
+    ran_before_return = ran.load();
+  });
+  marker.join();
+  EXPECT_TRUE(ran_before_return);
+  EXPECT_EQ(ran_on, marker_id);
+  ASSERT_TRUE(reentrant_watch.ok());
+  EXPECT_EQ(*reentrant_watch, ObjectState::kPending);
+  ASSERT_TRUE(reentrant_resolve.ok());
+  EXPECT_EQ(reentrant_resolve->state, ObjectState::kReady);
 }
 
 TEST_F(OwnershipTableTest, ObjectsInStateFilters) {
@@ -239,34 +235,28 @@ TEST_F(OwnershipTableTest, ObjectsInStateFilters) {
   EXPECT_EQ(table_.size(), 2u);
 }
 
-// Teardown race: destroy a reactor-wired table while half its watchers are
-// already queued on the reactor and the other half are still registered.
-// Queued continuations own their state via a captured shared_ptr (the
-// DESIGN.md §14 idiom) so they may run after the table dies; never-fired
-// watchers must be dropped without running. ASan flags any continuation
-// that touches freed table state.
-TEST_F(OwnershipTableTest, TeardownWithQueuedAndUnfiredWatchers) {
-  Reactor reactor("teardown");
+// Teardown: destroy a table while half its watchers have fired and the
+// other half are still registered. The fired ones ran inline
+// inside MarkReady, before the table died; the registered ones must be
+// dropped without running, then or later. ASan flags any watcher that
+// touches freed table state.
+TEST_F(OwnershipTableTest, TeardownWithFiredAndUnfiredWatchers) {
   auto fired = std::make_shared<std::atomic<int>>(0);
   {
     OwnershipTable table(NodeId::Next());
-    table.set_reactor(&reactor);
     for (int i = 0; i < 8; ++i) {
       ObjectId id = ObjectId::Next();
       ASSERT_TRUE(table.RegisterObject(id, TaskId::Next()).ok());
       ASSERT_TRUE(
           table.StateOrWatch(id, [fired] { fired->fetch_add(1); }).ok());
       if (i % 2 == 0) {
-        // Queues the watcher continuation on the reactor.
+        // Runs the watcher on this thread before MarkReady returns.
         ASSERT_TRUE(table.MarkReady(id, NodeId::Next(), 1).ok());
       }
     }
-  }  // table destroyed: 4 watchers queued on the reactor, 4 never fired
-  const int64_t deadline = NowNanos() + 1'000'000'000;
-  while (NowNanos() < deadline && fired->load() < 4) {
-    reactor.PollOnce();
-  }
-  EXPECT_EQ(fired->load(), 4);  // queued ones run; dropped ones never do
+    EXPECT_EQ(fired->load(), 4);
+  }  // table destroyed: 4 watchers ran, 4 never fired
+  EXPECT_EQ(fired->load(), 4);  // dropped ones never run
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/metric_names.h"
 #include "tests/runtime/runtime_test_util.h"
 
 namespace skadi {
@@ -869,6 +870,152 @@ TEST_F(RuntimeTest, OutstandingGetsShareOneDeadlineTimer) {
   }
   ASSERT_TRUE(all_done->BlockingWait(NowNanos() + 10'000 * kMs));
   EXPECT_EQ(reactor.pending_timers(), baseline);
+}
+
+// A task body that counts its runs and blocks until `gate` opens, then
+// sleeps `sleep_us` and returns its argument.
+TaskSpec GatedEcho(std::shared_ptr<std::atomic<int>> runs, std::shared_ptr<Event> gate,
+                   int64_t sleep_us = 0) {
+  TaskSpec spec = Call("gated_echo", {TaskArg::Value(I64Buffer(7))});
+  spec.body = std::make_shared<const TaskFunction>(
+      [runs, gate, sleep_us](TaskContext&, std::vector<Buffer>& args)
+          -> Result<std::vector<Buffer>> {
+        runs->fetch_add(1);
+        if (gate != nullptr && !gate->BlockingWait(NowNanos() + 5000 * kMs)) {
+          return Status::DeadlineExceeded("gate never opened");
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+        return std::vector<Buffer>{args[0]};
+      });
+  return spec;
+}
+
+// The output's continuation runs on the producing worker, inside MarkReady,
+// and kills the producing node there. The task has already claimed its
+// in-flight record, so the failover must not re-dispatch it: with recovery
+// off the object stays lost (DATA_LOSS) and the body ran once.
+TEST_F(RuntimeTest, KillFromOutputContinuationDoesNotReexecute) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kNone;
+  Build(options);
+  NodeId victim;
+  for (NodeId n : cluster_->ComputeNodes()) {
+    if (n != cluster_->head()) {
+      victim = n;
+      break;
+    }
+  }
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto gate = std::make_shared<Event>();
+  TaskSpec spec = GatedEcho(runs, gate);
+  spec.pinned_node = victim;
+  auto refs = runtime_->Submit(std::move(spec));
+  ASSERT_TRUE(refs.ok());
+  const ObjectRef out = (*refs)[0];
+
+  auto c = std::make_shared<Completion>();
+  auto killed = std::make_shared<Status>(Status::Internal("continuation never ran"));
+  SkadiRuntime* rt = runtime_.get();
+  runtime_->GetAsync(out, [c, killed, rt, victim](Result<Buffer> r) {
+    *killed = rt->KillNode(victim);
+    RecordInto(c)(std::move(r));
+  });
+  EXPECT_EQ(c->calls.load(), 0);  // the body is still held at the gate
+  gate->Set();
+  ASSERT_TRUE(c->done.BlockingWait(NowNanos() + 5000 * kMs));
+  EXPECT_TRUE(c->result.ok()) << c->result.status().ToString();
+  EXPECT_TRUE(killed->ok()) << killed->ToString();
+
+  auto result = runtime_->Get(out, 3000);
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(runtime_->metrics().GetCounter(names::kSchedulerFailoverRedispatches).value(), 0);
+  EXPECT_EQ(runs->load(), 1);
+  EXPECT_EQ(c->calls.load(), 1);
+}
+
+// GetAsync deadlines that land on their producers' completions, across the
+// cluster's 4 workers: a producer's thread runs the op's watcher while the
+// fabric reactor's sweep expires it. Each continuation must run exactly
+// once, with the value or DEADLINE_EXCEEDED, and no op may stay linked (or
+// otherwise alive) once every continuation has run.
+TEST_F(RuntimeTest, GetAsyncRacingItsDeadlineCompletesOnce) {
+  ClusterConfig config = DefaultConfig();
+  config.servers_per_rack = 1;  // 2 servers x 2 workers
+  Build({}, config);
+  constexpr int64_t kTimeoutMs = 4;
+  constexpr int kRounds = 16;
+  constexpr int kPerRound = 4;
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  std::vector<std::shared_ptr<Completion>> gets;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::shared_ptr<Completion>> batch;
+    for (int i = 0; i < kPerRound; ++i) {
+      // Bodies end from 2 ms before to 2 ms after their Get's deadline.
+      const int64_t sleep_us = kTimeoutMs * 1000 - 2000 + (round * kPerRound + i) * 4000 /
+                                                              (kRounds * kPerRound);
+      auto refs = runtime_->Submit(GatedEcho(runs, nullptr, sleep_us));
+      ASSERT_TRUE(refs.ok());
+      batch.push_back(std::make_shared<Completion>());
+      runtime_->GetAsync((*refs)[0], RecordInto(batch.back()), kTimeoutMs);
+    }
+    for (const auto& c : batch) {
+      ASSERT_TRUE(c->done.BlockingWait(NowNanos() + 5000 * kMs));
+    }
+    gets.insert(gets.end(), batch.begin(), batch.end());
+  }
+  for (const auto& c : gets) {
+    EXPECT_TRUE(c->result.ok() ||
+                c->result.status().code() == StatusCode::kDeadlineExceeded)
+        << c->result.status().ToString();
+  }
+  // A finished op is dropped by whichever of its chain and the sweep held it
+  // last; the continuation's state is then owned by the test alone.
+  const int64_t deadline = NowNanos() + 2000 * kMs;
+  auto all_released = [&gets] {
+    for (const auto& c : gets) {
+      if (c.use_count() != 1) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!all_released() && NowNanos() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(all_released());
+  runtime_->Shutdown();
+  for (const auto& c : gets) {
+    EXPECT_EQ(c->calls.load(), 1);  // Shutdown found nothing left to complete
+  }
+  EXPECT_EQ(runs->load(), kRounds * kPerRound);
+}
+
+// Wait arms one watcher per ref and parks once, so it settles on whichever
+// ref resolves first: a terminal failure completes the wait while an earlier
+// ref is still pending (a serial per-ref wait would sit on that ref until
+// the timeout). A ref released while pending fails with NOT_FOUND.
+TEST_F(RuntimeTest, WaitFailsFastOnAnyRefAndParksOnceForAll) {
+  Build();
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto gate = std::make_shared<Event>();
+  auto gated = runtime_->Submit(GatedEcho(runs, gate));
+  ASSERT_TRUE(gated.ok());
+  auto bad = runtime_->Submit(Call("fail_always", {}));
+  ASSERT_TRUE(bad.ok());
+  Stopwatch watch;
+  Status failed = runtime_->Wait({(*gated)[0], (*bad)[0]}, 4000);
+  EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
+  EXPECT_LT(watch.ElapsedMillis(), 2000);
+
+  auto released = runtime_->Submit(GatedEcho(runs, gate));
+  ASSERT_TRUE(released.ok());
+  ASSERT_TRUE(runtime_->Release((*released)[0]).ok());
+  EXPECT_EQ(runtime_->Wait({(*gated)[0], (*released)[0]}, 4000).code(),
+            StatusCode::kNotFound);
+
+  gate->Set();
+  EXPECT_TRUE(runtime_->Wait({(*gated)[0], (*gated)[0]}, 4000).ok());
+  EXPECT_TRUE(runtime_->Wait({}, 0).ok());
 }
 
 }  // namespace

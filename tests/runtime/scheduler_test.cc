@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "src/common/clock.h"
 #include "src/common/event.h"
@@ -47,6 +48,13 @@ class SchedulerTest : public ::testing::Test {
     }
     scheduler->SetNodes(std::move(nodes));
     return scheduler;
+  }
+
+  // Finishes the attempt of `task` on `node` as the runtime does: claim the
+  // in-flight record, then free the slot.
+  static void Finish(Scheduler& scheduler, TaskId task, NodeId node) {
+    EXPECT_TRUE(scheduler.ClaimTask(task, node));
+    scheduler.ReleaseSlot(node);
   }
 
   TaskSpec MakeTask(std::vector<TaskArg> args = {}) {
@@ -97,8 +105,44 @@ TEST_F(SchedulerTest, LoadRebalancesAfterFinish) {
   TaskId first_id = first.id;
   ASSERT_TRUE(scheduler->Submit(std::move(first)).ok());
   NodeId first_node = dispatched_[0].second;
-  scheduler->OnTaskFinished(first_id);
+  Finish(*scheduler, first_id, first_node);
   EXPECT_EQ(scheduler->inflight_on(first_node), 0);
+}
+
+TEST_F(SchedulerTest, ClaimedTaskIsNotFailedOver) {
+  auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
+  TaskSpec task = MakeTask();
+  const TaskId id = task.id;
+  ASSERT_TRUE(scheduler->Submit(std::move(task)).ok());
+  const NodeId node = dispatched_[0].second;
+  // Only the attempt the record names may claim it.
+  EXPECT_FALSE(scheduler->ClaimTask(id, node_ids_[3]));
+  EXPECT_FALSE(scheduler->ClaimTask(TaskId::Next(), node));
+  ASSERT_TRUE(scheduler->ClaimTask(id, node));
+  // Once claimed, the node's death does not re-dispatch the task, and a
+  // second claim (a duplicate completion) fails.
+  dispatched_.clear();
+  scheduler->OnNodeFailure(node);
+  EXPECT_TRUE(dispatched_.empty());
+  EXPECT_EQ(metrics_.GetCounter("scheduler.failover_redispatches").value(), 0);
+  EXPECT_FALSE(scheduler->ClaimTask(id, node));
+}
+
+TEST_F(SchedulerTest, FailedOverAttemptCannotClaim) {
+  auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
+  TaskSpec task = MakeTask();
+  const TaskId id = task.id;
+  ASSERT_TRUE(scheduler->Submit(std::move(task)).ok());
+  const NodeId dead = dispatched_[0].second;
+  scheduler->OnNodeFailure(dead);
+  ASSERT_EQ(dispatched_.size(), 2u);
+  const NodeId live = dispatched_[1].second;
+  ASSERT_NE(live, dead);
+  // The attempt on the dead node is stale; the failed-over one owns the task.
+  EXPECT_FALSE(scheduler->ClaimTask(id, dead));
+  EXPECT_EQ(scheduler->inflight_on(live), 1);
+  Finish(*scheduler, id, live);
+  EXPECT_EQ(scheduler->inflight_on(live), 0);
 }
 
 TEST_F(SchedulerTest, LocalityFollowsBytes) {
@@ -183,6 +227,8 @@ TEST_F(SchedulerTest, GangWaitsForSlots) {
   TaskId f2_id = f2.id;
   ASSERT_TRUE(scheduler->Submit(std::move(f1)).ok());
   ASSERT_TRUE(scheduler->Submit(std::move(f2)).ok());
+  const NodeId f1_node = dispatched_[0].second;
+  const NodeId f2_node = dispatched_[1].second;
   dispatched_.clear();
 
   for (int i = 0; i < 4; ++i) {
@@ -193,9 +239,9 @@ TEST_F(SchedulerTest, GangWaitsForSlots) {
   }
   EXPECT_TRUE(dispatched_.empty());  // only 2 free slots
 
-  scheduler->OnTaskFinished(f1_id);
+  Finish(*scheduler, f1_id, f1_node);
   EXPECT_TRUE(dispatched_.empty());  // 3 free: still short
-  scheduler->OnTaskFinished(f2_id);
+  Finish(*scheduler, f2_id, f2_node);
   EXPECT_EQ(dispatched_.size(), 4u);  // all-or-nothing release
 }
 
@@ -357,7 +403,7 @@ TEST_F(SchedulerTest, IdleNodeStealsFromLongestQueue) {
 
   // B finishes task1: capacity frees, B steals the newest of A's queue.
   blocking.store(false);
-  scheduler->OnTaskFinished(ids[1]);
+  Finish(*scheduler, ids[1], b);
   EXPECT_EQ(metrics_.GetCounter("scheduler.steal_count").value(), 1);
   EXPECT_EQ(scheduler->queued_on(a), 1);
   {
@@ -429,7 +475,7 @@ TEST_F(SchedulerTest, NodeDiesMidStealTaskRetriesElsewhere) {
   // B dies, then finishes its task: the steal of `queued_id` fails on B,
   // B leaves the candidate set, and the task re-queues on A.
   b_dead.store(true);
-  scheduler->OnTaskFinished(b_task);
+  Finish(*scheduler, b_task, b);
   EXPECT_EQ(metrics_.GetCounter("scheduler.steal_count").value(), 1);
   EXPECT_GE(metrics_.GetCounter("scheduler.dispatch_retries").value(), 1);
   EXPECT_EQ(scheduler->queued_on(a), 1);  // re-routed back to the only live node
@@ -453,13 +499,13 @@ TEST_F(SchedulerTest, ConcurrentSubmitNoLossNoDoubleDispatch) {
   constexpr int kTasksPerThread = 100;
   Mutex mu;
   std::unordered_map<TaskId, int> dispatch_count;
-  std::vector<TaskId> completable;
+  std::vector<std::pair<TaskId, NodeId>> completable;
   auto scheduler = std::make_unique<Scheduler>(
       cache_.get(), &metrics_, SchedulingPolicy::kLoadAware,
-      [&](const TaskSpecPtr& spec, NodeId) {
+      [&](const TaskSpecPtr& spec, NodeId target) {
         MutexLock lock(mu);
         dispatch_count[spec->id] += 1;
-        completable.push_back(spec->id);
+        completable.emplace_back(spec->id, target);
         return Status::Ok();
       });
   std::vector<SchedulableNode> nodes;
@@ -471,15 +517,15 @@ TEST_F(SchedulerTest, ConcurrentSubmitNoLossNoDoubleDispatch) {
   std::atomic<bool> stop{false};
   std::thread completer([&] {
     // Completions race with submissions, repeatedly triggering the
-    // OnTaskFinished steal probe while queues churn.
+    // ReleaseSlot steal probe while queues churn.
     while (!stop.load()) {
-      std::vector<TaskId> batch;
+      std::vector<std::pair<TaskId, NodeId>> batch;
       {
         MutexLock lock(mu);
         batch.swap(completable);
       }
-      for (TaskId id : batch) {
-        scheduler->OnTaskFinished(id);
+      for (const auto& [id, node] : batch) {
+        Finish(*scheduler, id, node);
       }
       std::this_thread::yield();
     }

@@ -75,6 +75,10 @@ run_mode default  build-check
 echo "==> [default] perfbench smoke"
 python3 perfbench/run.py --smoke > /dev/null
 run_mode thread   build-tsan  -DSKADI_SANITIZE=thread
+# Watchers and GetAsync continuations run on the publishing thread: repeat
+# the failover, watcher-contract and exactly-once tests 50 times under TSan.
+echo "==> [thread] watcher-contract repeats (x50)"
+tools/tsan_repeat.sh build-tsan 50 > /dev/null
 run_mode address  build-asan  -DSKADI_SANITIZE=address
 
 # Wall-clock fuzz smoke on the ASan tree: seed corpus + 30 s of mutations
