@@ -142,6 +142,21 @@ Status OwnershipTable::AddLocation(ObjectId id, NodeId location) {
   return Status::Ok();
 }
 
+namespace {
+
+// Drops `node` from the record's locations; true iff that lost a ready record.
+// Caller holds the record's shard lock.
+bool DropLocationOf(OwnershipRecord& record, NodeId node) {
+  if (record.locations.erase(node) > 0 && record.locations.empty() &&
+      record.state == ObjectState::kReady) {
+    record.state = ObjectState::kLost;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 std::vector<ObjectId> OwnershipTable::OnNodeFailure(NodeId node) {
   std::vector<ObjectId> lost;
   std::vector<Continuation> watchers;
@@ -153,9 +168,7 @@ std::vector<ObjectId> OwnershipTable::OnNodeFailure(NodeId node) {
     Shard& s = *shard_ptr;
     ShardLock lock(s.mu, shard_lock_waits_);
     for (auto& [id, record] : s.records) {
-      if (record.locations.erase(node) > 0 && record.locations.empty() &&
-          record.state == ObjectState::kReady) {
-        record.state = ObjectState::kLost;
+      if (DropLocationOf(record, node)) {
         lost.push_back(id);
         auto taken = TakeWatchersLocked(s, id);
         watchers.insert(watchers.end(),
@@ -166,6 +179,21 @@ std::vector<ObjectId> OwnershipTable::OnNodeFailure(NodeId node) {
   }
   FireWatchers(std::move(watchers));
   return lost;
+}
+
+bool OwnershipTable::DropLocation(ObjectId id, NodeId node) {
+  std::vector<Continuation> watchers;
+  Shard& s = shard(id);
+  {
+    ShardLock lock(s.mu, shard_lock_waits_);
+    auto it = s.records.find(id);
+    if (it == s.records.end() || !DropLocationOf(it->second, node)) {
+      return false;
+    }
+    watchers = TakeWatchersLocked(s, id);
+  }
+  FireWatchers(std::move(watchers));
+  return true;
 }
 
 Status OwnershipTable::MarkLost(ObjectId id, Status failure) {

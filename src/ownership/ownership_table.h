@@ -106,6 +106,10 @@ class OwnershipTable {
   // vanished flip back to kLost. Returns the ids that became lost. Iterates
   // the shards one at a time (no global lock).
   std::vector<ObjectId> OnNodeFailure(NodeId node);
+  // OnNodeFailure for one record: drops `node` from its locations and returns
+  // true iff that flipped it from kReady to kLost. Concurrent with a sweep for
+  // the same node, exactly one of the two loses the object.
+  bool DropLocation(ObjectId id, NodeId node);
 
   // Explicitly marks an object lost. A non-Ok `failure` says it is lost for
   // good (its producing task failed terminally): StateOrWatch then

@@ -735,9 +735,13 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
   Status published = PublishOutputs(spec, std::move(outputs), at);
   if (published.ok()) {
     tasks_completed_->Increment();
+  } else if (published.code() != StatusCode::kAborted) {
+    // The claim is this attempt's: its failure is published here, and the
+    // raylet's FailTask, finding no claim, publishes nothing more.
+    PublishFailure(spec, published);
   }
   scheduler_->ReleaseSlot(at);
-  return published;  // on error the raylet's FailTask publishes the failure
+  return published;
 }
 
 Status SkadiRuntime::PublishOutputs(const TaskSpec& spec, std::vector<Buffer> outputs,
@@ -747,7 +751,17 @@ Status SkadiRuntime::PublishOutputs(const TaskSpec& spec, std::vector<Buffer> ou
 
   std::vector<ObjectId> ready;
   ready.reserve(outputs.size());
+  // Outputs [0, published) were stored and marked ready at `at`. The node
+  // may die at any point here, e.g. killed by a waiter MarkReady just ran;
+  // every MarkReady is followed by a check, and KillNode marks the fabric
+  // dead before it sweeps the owners' tables.
+  size_t published = outputs.size();
+  bool sole_copy_published = false;  // some output's only copy is on `at`
   for (size_t i = 0; i < outputs.size(); ++i) {
+    if (cluster_->fabric().IsDead(at)) {
+      published = i;
+      break;
+    }
     ObjectId oid = spec.returns[i];
     int64_t size = static_cast<int64_t>(outputs[i].size());
 
@@ -759,10 +773,12 @@ Status SkadiRuntime::PublishOutputs(const TaskSpec& spec, std::vector<Buffer> ou
     // Record caching-layer replicas BEFORE declaring the object ready, so a
     // failure observed right after MarkReady already sees every copy (loss
     // is only declared when the last copy dies).
+    bool replicated = false;
     for (NodeId replica : cluster_->cache().Locations(oid)) {
       if (replica != at) {
         // Best-effort replica bookkeeping: the record may already be gone.
         (void)table.AddLocation(oid, replica);
+        replicated = true;
       }
     }
     // Notify the owner (device-aware: record where the value physically is).
@@ -779,6 +795,7 @@ Status SkadiRuntime::PublishOutputs(const TaskSpec& spec, std::vector<Buffer> ou
     if (!consumers.ok()) {
       return consumers.status();
     }
+    sole_copy_published = sole_copy_published || !replicated;
 
     // Push protocol: proactively ship the value to registered consumers —
     // batched per destination when the batcher is wired, one message per
@@ -808,37 +825,90 @@ Status SkadiRuntime::PublishOutputs(const TaskSpec& spec, std::vector<Buffer> ou
     ControlMessage(spec.owner, cluster_->head());
     scheduler_->OnObjectReady(oid);
   }
+  if (published < outputs.size() || cluster_->fabric().IsDead(at)) {
+    AbandonOutputs(spec, published, sole_copy_published, at);
+    return Status::Aborted("node " + at.ToString() + " died while task " +
+                           spec.id.ToString() + " published its outputs");
+  }
   return Status::Ok();
+}
+
+void SkadiRuntime::AbandonOutputs(const TaskSpec& spec, size_t published,
+                                  bool sole_copy_published, NodeId at) {
+  OwnershipTable& table = ownership(spec.owner);
+  std::vector<ObjectId> lost;
+  for (size_t i = 0; i < published; ++i) {
+    // KillNode's sweep missed this copy if it ran before MarkReady. Of the
+    // sweep and this drop, exactly one loses the object.
+    if (table.DropLocation(spec.returns[i], at)) {
+      lost.push_back(spec.returns[i]);
+    }
+  }
+  // A published output whose only copy was on `at` is now lost, here or by
+  // the sweep, and its lineage recovery re-runs the task, which produces the
+  // unpublished outputs too. Otherwise the claim hid this attempt from
+  // failover and nothing else produces them: lose them, so waiters see
+  // DATA_LOSS or lineage re-produces them, instead of waiting out their
+  // deadlines.
+  if (!(sole_copy_published && options_.recovery == RecoveryMode::kLineage)) {
+    for (size_t i = published; i < spec.returns.size(); ++i) {
+      if (table.MarkLost(spec.returns[i]).ok()) {  // record may be released
+        lost.push_back(spec.returns[i]);
+      }
+    }
+  }
+  OnObjectsLost(lost);
+}
+
+void SkadiRuntime::OnObjectsLost(const std::vector<ObjectId>& lost) {
+  if (options_.recovery == RecoveryMode::kLineage) {
+    RecoverLostObjects(lost);
+  } else {
+    // No recovery: unblock parked dependents so they fail fast on resolve.
+    for (ObjectId oid : lost) {
+      scheduler_->OnObjectReady(oid);
+    }
+  }
+}
+
+void SkadiRuntime::PublishFailure(const TaskSpec& spec, const Status& status) {
+  // Terminal: a Get or argument resolution on an output completes at once
+  // with `status` (no lineage retry), and parked dependents are released to
+  // fail with it instead of hanging the job.
+  for (ObjectId oid : spec.returns) {
+    (void)ownership(spec.owner).MarkLost(oid, status);  // record may be released
+    scheduler_->OnObjectReady(oid);
+  }
 }
 
 void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId at) {
   tasks_failed_->Increment();
   SKADI_LOG(kInfo) << "task " << spec.id << " (" << spec.function
                    << ") failed: " << status.ToString();
-  if (status.code() == StatusCode::kAborted) {
-    // The attempt died with its node. Hand the spec back to the scheduler,
-    // which re-dispatches it unless OnNodeFailure already failed it over —
-    // both paths arbitrate on the same in-flight record, so exactly one live
-    // attempt survives no matter which side observes the death first.
+  if (status.code() == StatusCode::kAborted ||
+      (at.valid() && cluster_->fabric().IsDead(at))) {
+    // The attempt died with its node (a failure on a dead node, such as a
+    // fetch that found its source gone, is that death too). Hand the spec
+    // back to the scheduler, which re-dispatches it unless OnNodeFailure
+    // already failed it over — both paths arbitrate on the same in-flight
+    // record, so exactly one live attempt survives no matter which side
+    // observes the death first.
     scheduler_->OnTaskAborted(spec, at);
     return;
   }
-  // Non-abort failures are terminal: record the status on every output, so
-  // a Get or argument resolution on it completes at once with this status
-  // (no lineage retry), and release parked dependents — they fail with the
-  // same status instead of hanging the job. The attempt is claimed before
-  // MarkLost runs the waiters, as in CompleteTask. A failure that holds no
-  // claim still publishes but frees no slot: it never reached a node, its
-  // attempt was failed over, or CompleteTask claimed it and then failed to
-  // publish.
-  const bool claimed = scheduler_->ClaimTask(spec.id, at);
-  for (ObjectId oid : spec.returns) {
-    (void)ownership(spec.owner).MarkLost(oid, status);  // record may be released
-    scheduler_->OnObjectReady(oid);
+  if (!at.valid()) {
+    PublishFailure(spec, status);  // never reached a node
+    return;
   }
-  if (claimed) {
-    scheduler_->ReleaseSlot(at);
+  // Every dispatched attempt has an in-flight record. Without the claim the
+  // attempt is stale: it was failed over and the live attempt owns the
+  // outputs, or CompleteTask claimed it and already published the failure.
+  // The claim is taken before MarkLost runs the waiters, as in CompleteTask.
+  if (!scheduler_->ClaimTask(spec.id, at)) {
+    return;
   }
+  PublishFailure(spec, status);
+  scheduler_->ReleaseSlot(at);
 }
 
 Result<Buffer> SkadiRuntime::Get(const ObjectRef& ref, int64_t timeout_ms) {
@@ -1068,14 +1138,7 @@ Status SkadiRuntime::KillNode(NodeId node) {
   // 4. Re-produce lost objects via lineage (before re-dispatching, so
   // re-dispatched consumers park on the re-armed objects instead of reading
   // kLost).
-  if (options_.recovery == RecoveryMode::kLineage) {
-    RecoverLostObjects(lost);
-  } else {
-    // No recovery: unblock parked dependents so they fail fast on resolve.
-    for (ObjectId oid : lost) {
-      scheduler_->OnObjectReady(oid);
-    }
-  }
+  OnObjectsLost(lost);
 
   // 5. Fail over in-flight tasks of the dead node.
   scheduler_->OnNodeFailure(node);

@@ -165,14 +165,27 @@ class SkadiRuntime {
   bool PinArg(const ObjectRef& ref, NodeId at);
   void UnpinArg(const ObjectRef& ref, NodeId at);
   // Claims the attempt on `at` (Scheduler::ClaimTask), publishes its outputs,
-  // then frees its slot. Aborted, publishing nothing, for a stale attempt.
+  // then frees its slot. Aborted, publishing nothing, for a stale attempt;
+  // a publish failure is published as the task's failure before returning.
   Status CompleteTask(const TaskSpec& spec, std::vector<Buffer> outputs, NodeId at);
   // Stores each output, marks it ready (running its waiters on this thread),
-  // pushes it to registered consumers and releases parked dependents.
+  // pushes it to registered consumers and releases parked dependents. If `at`
+  // dies meanwhile, abandons the outputs and returns Aborted.
   Status PublishOutputs(const TaskSpec& spec, std::vector<Buffer> outputs, NodeId at);
+  // A claimed attempt's node died after it published outputs [0, published):
+  // loses those whose only copy was on `at` and, unless lineage recovery
+  // re-runs the task for one of them, the unpublished ones.
+  void AbandonOutputs(const TaskSpec& spec, size_t published, bool sole_copy_published,
+                      NodeId at);
+  // Lineage-recovers `lost` (RecoveryMode::kLineage) or releases their parked
+  // dependents to fail on resolve (kNone).
+  void OnObjectsLost(const std::vector<ObjectId>& lost);
+  // Records a terminal `status` on every output and releases dependents.
+  void PublishFailure(const TaskSpec& spec, const Status& status);
   // `at` is the node the failing attempt ran on (invalid for failures that
-  // never reached a node, e.g. unschedulable tasks). Aborts re-dispatch via
-  // Scheduler::OnTaskAborted; other failures are terminal.
+  // never reached a node, e.g. unschedulable tasks). Aborts, and failures on
+  // a dead node, re-dispatch via Scheduler::OnTaskAborted; other failures
+  // are terminal and published only by the attempt holding the claim.
   void FailTask(const TaskSpec& spec, const Status& status, NodeId at);
 
   Status DispatchToNode(const TaskSpecPtr& spec, NodeId target);

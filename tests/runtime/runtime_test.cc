@@ -933,6 +933,131 @@ TEST_F(RuntimeTest, KillFromOutputContinuationDoesNotReexecute) {
   EXPECT_EQ(c->calls.load(), 1);
 }
 
+// A two-return task on `victim` whose first output's continuation kills
+// `victim`, inside MarkReady and before the second output is published. The
+// claim hides the task from failover, so the publishing attempt itself must
+// lose what it can no longer publish. Returns Get on the second output and
+// the number of times the body ran.
+struct KilledMidPublish {
+  Result<Buffer> second = Status::Internal("never read");
+  int runs = 0;
+  int64_t lineage_reexecutions = 0;
+};
+
+KilledMidPublish KillBetweenOutputs(SkadiRuntime& runtime, NodeId victim) {
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto gate = std::make_shared<Event>();
+  TaskSpec spec = Call("split_on_node", {TaskArg::Value(I64Buffer(7))});
+  spec.num_returns = 2;
+  spec.pinned_node = victim;
+  spec.body = std::make_shared<const TaskFunction>(
+      [runs, gate](TaskContext&, std::vector<Buffer>& args)
+          -> Result<std::vector<Buffer>> {
+        if (runs->fetch_add(1) == 0) {
+          if (!gate->BlockingWait(NowNanos() + 5000 * kMs)) {
+            return Status::DeadlineExceeded("gate never opened");
+          }
+        }
+        const int64_t v = I64Of(args[0]);
+        return std::vector<Buffer>{I64Buffer(v), I64Buffer(v + 1)};
+      });
+  auto refs = runtime.Submit(std::move(spec));
+  SKADI_CHECK(refs.ok() && refs->size() == 2u);
+
+  auto first = std::make_shared<Completion>();
+  auto killed = std::make_shared<Status>(Status::Internal("continuation never ran"));
+  SkadiRuntime* rt = &runtime;
+  runtime.GetAsync((*refs)[0], [first, killed, rt, victim](Result<Buffer> r) {
+    *killed = rt->KillNode(victim);
+    RecordInto(first)(std::move(r));
+  });
+  gate->Set();
+  EXPECT_TRUE(first->done.BlockingWait(NowNanos() + 5000 * kMs));
+  EXPECT_TRUE(first->result.ok()) << first->result.status().ToString();
+  EXPECT_TRUE(killed->ok()) << killed->ToString();
+
+  KilledMidPublish out;
+  out.second = runtime.Get((*refs)[1], 5000);
+  out.runs = runs->load();
+  out.lineage_reexecutions =
+      runtime.metrics().GetCounter(names::kRuntimeLineageReexecutions).value();
+  return out;
+}
+
+TEST_F(RuntimeTest, KillBetweenOutputsLosesTheUnpublishedOne) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kNone;
+  Build(options);
+  KilledMidPublish got = KillBetweenOutputs(*runtime_, NonHeadComputeNode(*cluster_));
+  EXPECT_EQ(got.second.status().code(), StatusCode::kDataLoss)
+      << got.second.status().ToString();
+  EXPECT_EQ(got.runs, 1);
+  EXPECT_EQ(runtime_->metrics().GetCounter(names::kSchedulerFailoverRedispatches).value(), 0);
+}
+
+TEST_F(RuntimeTest, KillBetweenOutputsRecoversTheUnpublishedOneOnce) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kLineage;
+  Build(options);
+  KilledMidPublish got = KillBetweenOutputs(*runtime_, NonHeadComputeNode(*cluster_));
+  ASSERT_TRUE(got.second.ok()) << got.second.status().ToString();
+  EXPECT_EQ(I64Of(*got.second), 8);
+  // KillNode's recovery of the first output re-runs the task, which also
+  // produces the second; the publishing attempt adds no re-run of its own.
+  EXPECT_EQ(got.runs, 2);
+  EXPECT_EQ(got.lineage_reexecutions, 1);
+}
+
+// An attempt failed over off a killed node runs on; when its body then
+// fails, that is the dead node's failure, not the task's. The live attempt
+// owns the outputs, so the waiter gets its value and never the stale error.
+TEST_F(RuntimeTest, FailedOverAttemptsFailureIsNotPublished) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kNone;
+  Build(options);
+  const NodeId victim = NonHeadComputeNode(*cluster_);
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto stale_gate = std::make_shared<Event>();
+  auto live_gate = std::make_shared<Event>();
+  TaskSpec spec = Call("fails_when_stale", {TaskArg::Value(I64Buffer(7))});
+  spec.pinned_node = victim;
+  spec.body = std::make_shared<const TaskFunction>(
+      [runs, stale_gate, live_gate](TaskContext&, std::vector<Buffer>& args)
+          -> Result<std::vector<Buffer>> {
+        if (runs->fetch_add(1) == 0) {
+          (void)stale_gate->BlockingWait(NowNanos() + 5000 * kMs);
+          return Status::Internal("stale attempt failed");
+        }
+        (void)live_gate->BlockingWait(NowNanos() + 5000 * kMs);
+        return std::vector<Buffer>{args[0]};
+      });
+  auto refs = runtime_->Submit(std::move(spec));
+  ASSERT_TRUE(refs.ok());
+  auto reach = [](const std::function<bool()>& done) {
+    const int64_t deadline = NowNanos() + 5000 * kMs;
+    while (!done() && NowNanos() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  ASSERT_TRUE(reach([&] { return runs->load() == 1; }));
+  ASSERT_TRUE(runtime_->KillNode(victim).ok());  // fails the task over
+  ASSERT_TRUE(reach([&] { return runs->load() == 2; }));
+
+  auto c = std::make_shared<Completion>();
+  runtime_->GetAsync((*refs)[0], RecordInto(c));
+  Counter& failed = runtime_->metrics().GetCounter(names::kRuntimeTasksFailed);
+  stale_gate->Set();
+  ASSERT_TRUE(reach([&] { return failed.value() == 1; }));
+  EXPECT_EQ(c->calls.load(), 0);
+
+  live_gate->Set();
+  ASSERT_TRUE(c->done.BlockingWait(NowNanos() + 5000 * kMs));
+  ASSERT_TRUE(c->result.ok()) << c->result.status().ToString();
+  EXPECT_EQ(I64Of(*c->result), 7);
+  EXPECT_EQ(c->calls.load(), 1);
+}
+
 // GetAsync deadlines that land on their producers' completions, across the
 // cluster's 4 workers: a producer's thread runs the op's watcher while the
 // fabric reactor's sweep expires it. Each continuation must run exactly
